@@ -56,8 +56,15 @@ from .errors import (
     SampleTooSmall,
 )
 from .montecarlo import StudyConfig, export_histogram, run_study
-from .pelve_solver import DEFAULT_C_TOL, PelveResult, pelve, pelve_closed
-from .risk_measures import DEFAULT_REL_TOL, es_n, es_n_closed
+from .pelve_solver import (
+    DEFAULT_C_TOL,
+    PelveResult,
+    _check_c_tol,
+    _check_eps,
+    pelve,
+    pelve_closed,
+)
+from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, es_n, es_n_closed
 
 __all__ = [
     "ReturnSeries",
@@ -226,15 +233,16 @@ def _parse_dist(text: str) -> DistributionModel:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _level_grid(eps: float):
-    grid = sorted({0.0, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0 - eps})
-    return [p for p in grid if 0.0 <= p < 1.0]
+def _level_grid(floor: float, eps: float):
+    # ES rows start at the lowest level the model describes.
+    grid = sorted({floor, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0 - eps})
+    return [p for p in grid if floor <= p < 1.0]
 
 
 def _cmd_analytic(args, out) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
-    for p in _level_grid(eps):
+    for p in _level_grid(dist.level_floor, eps):
         if args.closed_only:
             value = es_n_closed(dist, n, p)
         else:
@@ -398,25 +406,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return integer
 
 
-def _epsilon(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1), got {text}")
-    return value
+def _float_checked_by(check):
+    # argparse type for a float that the library's own range check accepts.
+    def number(text: str) -> float:
+        value = float(text)
+        try:
+            check(value)
+        except PelveError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return number
 
 
-def _window(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"window must be >= 2, got {text}")
-    return value
+_positive_int = _int_at_least(1)
+_epsilon = _float_checked_by(_check_eps)
 
 
 def _orders(text: str):
@@ -432,9 +446,9 @@ def _orders(text: str):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pelve", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--ctol", type=float, default=DEFAULT_C_TOL,
+    parser.add_argument("--ctol", type=_float_checked_by(_check_c_tol), default=DEFAULT_C_TOL,
                         help="bisection tolerance on the multiplier")
-    parser.add_argument("--reltol", type=float, default=DEFAULT_REL_TOL,
+    parser.add_argument("--reltol", type=_float_checked_by(_check_rel_tol), default=DEFAULT_REL_TOL,
                         help="relative tolerance of the quadrature fallback")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -459,14 +473,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--replicates", type=_positive_int, required=True)
     p.add_argument("--length", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--bins", type=_positive_int, default=30)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("rolling", help="windowed multiplier series")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("prices", "returns"), required=True)
-    p.add_argument("--window", type=_window, default=DEFAULT_WINDOW)
+    p.add_argument("--window", type=_int_at_least(2), default=DEFAULT_WINDOW)
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--orders", type=_orders, default=[1, 2])
     p.add_argument("--negate", action="store_true")

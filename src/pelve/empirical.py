@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, InvalidParameter, LevelOutOfRange, SampleTooSmall
+from .distributions import _check_order
+from .errors import InvalidParameter, LevelOutOfRange, SampleTooSmall
 from .pelve_solver import DEFAULT_C_TOL, PelveResult, _check_c_tol, _check_eps, _solve
-from .risk_measures import _check_order
 
 __all__ = [
     "OrderedSample",
@@ -121,9 +121,11 @@ def empirical_pelve(
 
     The map c -> ES-hat_n(1 - c*eps) is continuous and nonincreasing (the
     distortion h_p is pointwise nonincreasing in p over sorted values), so
-    bisection applies; a grid scan backs it up if bracketing ever
-    misbehaves.  Warns when m*eps < 1, where VaR-hat sits on the sample
-    maximum and the estimate is degenerate.
+    bisection applies.  ES-hat is compared with VaR-hat in difference form,
+    w . (x - VaR-hat), so values tied with VaR-hat contribute exactly zero
+    and rounding in the weights cannot flip the comparison.  Warns when
+    m*eps < 1, where VaR-hat sits on the sample maximum and the estimate is
+    degenerate.
     """
     _check_eps(eps)
     _check_c_tol(c_tol)
@@ -135,23 +137,9 @@ def empirical_pelve(
             SampleTooSmall,
             stacklevel=2,
         )
-    var_hat = empirical_var(sample, 1.0 - eps)
+    excess = sample.values - empirical_var(sample, 1.0 - eps)
 
-    def es_at(p: float) -> float:
-        return empirical_es_n(sample, n, p)
+    def gap(p: float) -> float:
+        return float(es_n_weights(m, n, p).weights @ excess)
 
-    if es_at(0.0) > var_hat:
-        return PelveResult.infinite()
-    try:
-        return _solve(es_at, var_hat, eps, c_tol)
-    except BracketFailure:
-        # Monotonicity guard: left-to-right scan for the first admissible c.
-        c_max = 1.0 / eps
-        steps = min(int(math.ceil(1.0 / c_tol)), 1_000_000)
-        for c in np.linspace(1.0, c_max, steps + 1):
-            p = max(1.0 - c * eps, 0.0)
-            if es_at(p) <= var_hat:
-                return PelveResult.finite(
-                    float(c), residual=abs(es_at(p) - var_hat)
-                )
-        return PelveResult.infinite()
+    return _solve(gap, eps, c_tol)

@@ -36,8 +36,9 @@ class QuadratureNonConvergence(PelveError):
 
 
 class BracketFailure(PelveError):
-    """Root bracketing failed although the existence check passed.
-    Retry with a tighter expected-shortfall tolerance (rel_tol)."""
+    """Root bracketing failed although the existence check passed.  The
+    solver now reuses the existence check as its bracket, so the package no
+    longer raises this; the class stays for existing ``except`` clauses."""
 
 
 class AlphaOutOfRange(PelveError):

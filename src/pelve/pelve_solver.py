@@ -13,38 +13,19 @@ small-level limit for regularly varying tails are exposed alongside.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import (
-    DistributionModel,
-    ExcessGPD,
-    Exponential,
-    GeneralizedPareto,
-    Normal,
-    Pareto,
-    Uniform,
-    quantile,
-)
-from .errors import (
-    AlphaOutOfRange,
-    BracketFailure,
-    InvalidParameter,
-    KappaOutOfRange,
-    LevelOutOfRange,
-    NoClosedForm,
-)
+from .distributions import DistributionModel, quantile
+from .errors import AlphaOutOfRange, InvalidParameter, KappaOutOfRange, LevelOutOfRange
 from .risk_measures import (
     _GL_NODES,
     _GL_WEIGHTS,
     DEFAULT_REL_TOL,
-    _pareto_order_sum,
     es_n,
     es_n_quadrature,
-    harmonic_number,
 )
 
 __all__ = [
@@ -97,12 +78,6 @@ def _check_c_tol(c_tol: float) -> None:
         raise InvalidParameter(f"c_tol must lie in [1e-12, 1e-3], got {c_tol}")
 
 
-def _level_floor(dist: DistributionModel) -> float:
-    # An excess-over-threshold model is specified only above its base CDF
-    # value, so ES evaluations (and the solver's c range) stop there.
-    return dist.base_cdf_at_u if isinstance(dist, ExcessGPD) else 0.0
-
-
 def pelve_exists(
     dist: DistributionModel,
     n: int,
@@ -117,21 +92,24 @@ def pelve_exists(
     below which the model says nothing.
     """
     _check_eps(eps)
-    floor = _level_floor(dist)
-    return es_n(dist, n, floor, rel_tol).value <= quantile(dist, 1.0 - eps)
+    return es_n(dist, n, dist.level_floor, rel_tol).value <= quantile(dist, 1.0 - eps)
 
 
 def _solve(
-    es_fn: Callable[[float], float],
-    var_at_level: float,
+    gap: Callable[[float], float],
     eps: float,
     c_tol: float,
     p_floor: float = 0.0,
 ) -> PelveResult:
-    """Bisection on g(c) = ES_n(1 - c*eps) - var_at_level over
-    [1, (1 - p_floor)/eps]; assumes g at the right endpoint <= 0 has
-    already been established."""
-    g1 = es_fn(1.0 - eps) - var_at_level
+    """Existence check plus bisection on g(c) = gap(1 - c*eps) over
+    [1, (1 - p_floor)/eps], where gap(p) = ES_n(p) - VaR(1 - eps).
+
+    The multiplier is infinite when gap(p_floor) > 0.  Otherwise that same
+    evaluation is g at the right endpoint, so [1, c_max] brackets the root.
+    """
+    if gap(p_floor) > 0.0:
+        return PelveResult.infinite()
+    g1 = gap(1.0 - eps)
     if g1 <= 0.0:
         # Infimum attained at the left endpoint; the equation form need not
         # hold there, so the residual is reported as-is.
@@ -140,14 +118,8 @@ def _solve(
     c_max = (1.0 - p_floor) / eps
 
     def g(c: float) -> float:
-        # 1 - c*eps can round a hair below the floor at c = c_max; clamp it.
-        return es_fn(max(1.0 - c * eps, p_floor)) - var_at_level
-
-    if g(c_max) > 0.0:
-        raise BracketFailure(
-            "ES_n(0) > VaR(1 - eps) at solver precision despite a passing "
-            "existence check; retry with a tighter rel_tol"
-        )
+        # 1 - c*eps can round a hair below the floor near c = c_max; clamp it.
+        return gap(max(1.0 - c * eps, p_floor))
 
     lo, hi = 1.0, c_max
     width_goal = c_tol * (c_max - 1.0)
@@ -174,15 +146,12 @@ def pelve(
     ``n``, by existence check plus bisection."""
     _check_eps(eps)
     _check_c_tol(c_tol)
-    if not pelve_exists(dist, n, eps, rel_tol):
-        return PelveResult.infinite()
     var_level = quantile(dist, 1.0 - eps)
     return _solve(
-        lambda p: es_n(dist, n, p, rel_tol).value,
-        var_level,
+        lambda p: es_n(dist, n, p, rel_tol).value - var_level,
         eps,
         c_tol,
-        p_floor=_level_floor(dist),
+        p_floor=dist.level_floor,
     )
 
 
@@ -202,52 +171,11 @@ def pelve_from_quantile(
     _check_c_tol(c_tol)
     var_level = quantile_fn(1.0 - eps)
 
-    def es_at(p: float) -> float:
-        return es_n_quadrature(quantile_fn, n, p, rel_tol, tail_quantile_fn).value
+    def gap(p: float) -> float:
+        es = es_n_quadrature(quantile_fn, n, p, rel_tol, tail_quantile_fn).value
+        return es - var_level
 
-    if es_at(0.0) > var_level:
-        return PelveResult.infinite()
-    return _solve(es_at, var_level, eps, c_tol)
-
-
-def _closed_value_and_threshold(
-    dist: DistributionModel, n: int
-) -> tuple[float, float]:
-    """(multiplier, largest eps for which it applies) for the closed-form
-    table; raises NoClosedForm outside it."""
-    if isinstance(dist, Uniform):
-        return float(n + 1), 1.0 / (n + 1)
-
-    if isinstance(dist, Exponential):
-        h = harmonic_number(n)
-        return math.exp(h), math.exp(-h)
-
-    if isinstance(dist, Pareto):
-        if dist.tail <= 1.0:
-            raise NoClosedForm("Pareto needs tail > 1 for a first moment")
-        s = _pareto_order_sum(n, dist.tail)
-        return s ** dist.tail, s ** -dist.tail
-
-    if isinstance(dist, (GeneralizedPareto, ExcessGPD)):
-        if n != 2:
-            raise NoClosedForm(
-                "generalized-Pareto closed form is available at order 2 only"
-            )
-        if isinstance(dist, ExcessGPD):
-            kappa, fu = dist.shape, dist.base_cdf_at_u
-        else:
-            kappa, fu = dist.shape, 0.0
-        if kappa >= 1.0:
-            raise NoClosedForm("generalized Pareto needs shape < 1")
-        if kappa == 0.0:
-            value = math.exp(1.5)
-        else:
-            value = (2.0 / ((1.0 - kappa) * (2.0 - kappa))) ** (1.0 / kappa)
-        # The applicable eps range is scaled down by the survival mass above
-        # the threshold; the endpoint is treated as attained.
-        return value, (1.0 - fu) / value
-
-    raise NoClosedForm(f"no closed multiplier for {dist!r}")
+    return _solve(gap, eps, c_tol)
 
 
 def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
@@ -256,7 +184,7 @@ def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
     at order 2.  Below the family threshold the value is a constant
     independent of eps; above it the result is infinite."""
     _check_eps(eps)
-    value, threshold = _closed_value_and_threshold(dist, n)
+    value, threshold = dist.closed_multiplier(n)
     if eps <= threshold:
         return PelveResult.finite(value)
     return PelveResult.infinite()

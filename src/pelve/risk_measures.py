@@ -7,10 +7,13 @@ Order 1 is the usual Expected Shortfall.
 
 Closed forms exist for uniform, exponential and Pareto at every order, for
 the normal at orders 1 and 2, and for generalized-Pareto-type models
-(shape < 1) at orders 1 and 2.  Everything else goes through composite
-Gauss-Legendre quadrature with geometric panel grading toward both ends of
-the integration interval, which resolves the integrable endpoint
-singularities of heavy-tailed quantile functions.
+(shape < 1) at orders 1 and 2; each family class carries its own as
+``es_closed``.  Everything else goes through composite Gauss-Legendre
+quadrature with geometric panel grading toward both ends of the
+integration interval, which resolves the integrable endpoint singularities
+of heavy-tailed quantile functions.  ``es_n`` hands each half's nodes to
+the family's quantile as one array; ``es_n_quadrature`` keeps a
+one-float-at-a-time contract for arbitrary quantile callables.
 """
 
 from __future__ import annotations
@@ -21,16 +24,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .distributions import (
     DistributionModel,
-    ExcessGPD,
-    Exponential,
-    GeneralizedPareto,
-    Normal,
-    Pareto,
-    Uniform,
+    _check_order,
+    harmonic_number,
     quantile,
     tail_quantile,
 )
@@ -38,7 +36,6 @@ from .errors import (
     InvalidParameter,
     LevelOutOfRange,
     NoClosedForm,
-    OrderOutOfRange,
     QuadratureNonConvergence,
 )
 
@@ -85,65 +82,14 @@ class GiniParams:
         return self.loading <= 0.5
 
 
-def _check_order(n: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise OrderOutOfRange(f"order must be a positive integer, got {n!r}")
-
-
 def _check_tail_level(p: float) -> None:
     if not 0.0 <= p < 1.0:
         raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
 
 
-def harmonic_number(n: int) -> float:
-    """H_n = 1 + 1/2 + ... + 1/n by direct summation."""
-    _check_order(n)
-    return sum(1.0 / k for k in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def _pareto_order_sum(n: int, alpha: float) -> float:
-    # n * sum_j C(n-1, j) (-1)^j / (j + 1 - 1/alpha); every denominator is
-    # positive for alpha > 1.
-    inv = 1.0 / alpha
-    return n * sum(
-        math.comb(n - 1, j) * (-1.0) ** j / (j + 1.0 - inv) for j in range(n)
-    )
-
-
-def _excess_gpd_var(u: float, kappa: float, beta: float, fu: float, p: float) -> float:
-    # Quantile of the excess-over-threshold model; also valid at p = 0 when
-    # fu = 0 (returns the threshold itself).
-    ratio = (1.0 - p) / (1.0 - fu)
-    if kappa == 0.0:
-        return u - beta * math.log(ratio)
-    return u + (beta / kappa) * (ratio ** (-kappa) - 1.0)
-
-
-def _excess_gpd_es(
-    u: float, kappa: float, beta: float, fu: float, n: int, p: float
-) -> float:
-    if kappa >= 1.0:
-        raise NoClosedForm("generalized Pareto needs shape < 1 for a first moment")
-    if p < fu:
-        # The excess model is silent below its threshold; p = fu itself is
-        # fine (the ES then averages the whole modeled tail).
-        raise LevelOutOfRange(
-            f"excess model requires level >= base_cdf_at_u={fu}, got {p}"
-        )
-    var_p = _excess_gpd_var(u, kappa, beta, fu, p)
-    if n == 1:
-        return var_p / (1.0 - kappa) + (beta - kappa * u) / (1.0 - kappa)
-    if n == 2:
-        if kappa == 0.0:
-            return var_p + 1.5 * beta
-        scaled = ((1.0 - p) / (1.0 - fu)) ** (-kappa)
-        return var_p + beta * (3.0 - kappa) / ((1.0 - kappa) * (2.0 - kappa)) * scaled
-    raise NoClosedForm(f"no closed generalized-Pareto form for order {n}")
-
 
 def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
     """Closed-form n-th-order Expected Shortfall, where one exists.
@@ -153,39 +99,7 @@ def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
     """
     _check_order(n)
     _check_tail_level(p)
-
-    if isinstance(dist, Uniform):
-        unit = p / (n + 1.0) + n / (n + 1.0)
-        return dist.lower + (dist.upper - dist.lower) * unit
-
-    if isinstance(dist, Exponential):
-        return (harmonic_number(n) - math.log1p(-p)) / dist.rate
-
-    if isinstance(dist, Pareto):
-        if dist.tail <= 1.0:
-            raise NoClosedForm("Pareto needs tail > 1 for a first moment")
-        s = _pareto_order_sum(n, dist.tail)
-        return dist.scale * s * (1.0 - p) ** (-1.0 / dist.tail)
-
-    if isinstance(dist, Normal):
-        z = float(ndtri(p))  # -inf at p = 0; the formulas below absorb it
-        if n == 1:
-            phi_z = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) if math.isfinite(z) else 0.0
-            return dist.mean + dist.stddev * phi_z / (1.0 - p)
-        if n == 2:
-            tail = 1.0 - float(ndtr(math.sqrt(2.0) * z)) if math.isfinite(z) else 1.0
-            return dist.mean + dist.stddev * tail / (math.sqrt(math.pi) * (1.0 - p) ** 2)
-        raise NoClosedForm(f"no closed normal form for order {n}")
-
-    if isinstance(dist, GeneralizedPareto):
-        return _excess_gpd_es(0.0, dist.shape, dist.scale, 0.0, n, p)
-
-    if isinstance(dist, ExcessGPD):
-        return _excess_gpd_es(
-            dist.threshold, dist.shape, dist.scale, dist.base_cdf_at_u, n, p
-        )
-
-    raise NoClosedForm(f"unsupported distribution {dist!r}")
+    return dist.es_closed(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +124,39 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, half
 
 
+# Overflow to inf in a node array is not an error here: a non-finite total
+# ends in QuadratureNonConvergence.
+@np.errstate(over="ignore")
 def _integrate(
-    quantile_fn: Callable[[float], float],
+    quantile_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
     p: float,
     levels: int,
-    tail_quantile_fn: Callable[[float], float] | None = None,
+    tail_quantile_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float, float, int]:
     # The integral over (p, 1) is split at the midpoint.  The lower half is
     # handled in the level variable s with geometric grading toward p.  The
     # upper half is handled in the tail variable t = 1 - s with grading
     # toward t = 0: doubles are dense near 0 but not near 1, and heavy
-    # tails need panels far below the float spacing at 1.
+    # tails need panels far below the float spacing at 1.  Each half's
+    # nodes go to the quantile callable as one array.
     mid = 0.5 * (p + 1.0)
     scale = (1.0 - p) ** n
 
     s_edges = np.concatenate(([p], p + (mid - p) * 2.0 ** -np.arange(levels, -1.0, -1)))
     s_nodes, s_half = _panel_nodes(s_edges)
     np.clip(s_nodes, np.nextafter(p, 1.0), None, out=s_nodes)
-    s_flat = s_nodes.ravel()
-    s_vals = np.array([quantile_fn(float(s)) for s in s_flat]).reshape(s_nodes.shape)
+    s_vals = quantile_fn(s_nodes)
     s_weight = n * (s_nodes - p) ** (n - 1) / scale
     s_contrib = (s_weight * s_vals) @ _GL_WEIGHTS * s_half
     s_abs = (s_weight * np.abs(s_vals)) @ _GL_WEIGHTS * s_half
 
     t_edges = np.concatenate(([0.0], (1.0 - mid) * 2.0 ** -np.arange(levels, -1.0, -1)))
     t_nodes, t_half = _panel_nodes(t_edges)
-    t_flat = t_nodes.ravel()
     if tail_quantile_fn is not None:
-        t_vals = np.array([tail_quantile_fn(float(t)) for t in t_flat])
+        t_vals = tail_quantile_fn(t_nodes)
     else:
-        s_from_t = np.minimum(1.0 - t_flat, np.nextafter(1.0, 0.0))
-        t_vals = np.array([quantile_fn(float(s)) for s in s_from_t])
-    t_vals = t_vals.reshape(t_nodes.shape)
+        t_vals = quantile_fn(np.minimum(1.0 - t_nodes, np.nextafter(1.0, 0.0)))
     t_weight = n * ((1.0 - p) - t_nodes) ** (n - 1) / scale
     t_contrib = (t_weight * t_vals) @ _GL_WEIGHTS * t_half
     t_abs = (t_weight * np.abs(t_vals)) @ _GL_WEIGHTS * t_half
@@ -251,28 +165,21 @@ def _integrate(
     abs_total = float(s_abs.sum() + t_abs.sum())
     # Largest end-panel share flags slow (or no) endpoint convergence.
     edge_share = max(float(s_abs[0]), float(t_abs[0]))
-    return total, abs_total, edge_share, s_flat.size + t_flat.size
+    return total, abs_total, edge_share, s_nodes.size + t_nodes.size
 
 
-def es_n_quadrature(
-    quantile_fn: Callable[[float], float],
+def _per_node(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    # Adapts a scalar quantile callable to the node arrays of _integrate.
+    return lambda x: np.array([fn(float(v)) for v in x.flat]).reshape(x.shape)
+
+
+def _quadrature(
+    quantile_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
     p: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    tail_quantile_fn: Callable[[float], float] | None = None,
+    rel_tol: float,
+    tail_quantile_fn: Callable[[np.ndarray], np.ndarray] | None,
 ) -> EsResult:
-    """Numeric n-th-order Expected Shortfall of an arbitrary quantile
-    function, by panel-graded Gauss-Legendre integration over (p, 1).
-
-    The panel count doubles until two successive refinements agree within
-    ``rel_tol`` (relative to the larger of the integral and its absolute
-    counterpart).  A budget of 2^20 nodes guards against quantiles without
-    a finite first moment.
-
-    ``tail_quantile_fn(t)``, when supplied, evaluates the quantile at level
-    1 - t directly; heavy tails then resolve below the double-precision
-    spacing at 1, which ``quantile_fn(1 - t)`` cannot reach.
-    """
     _check_order(n)
     _check_tail_level(p)
     _check_rel_tol(rel_tol)
@@ -307,6 +214,35 @@ def es_n_quadrature(
         prev = cur
 
 
+def es_n_quadrature(
+    quantile_fn: Callable[[float], float],
+    n: int,
+    p: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    tail_quantile_fn: Callable[[float], float] | None = None,
+) -> EsResult:
+    """Numeric n-th-order Expected Shortfall of an arbitrary quantile
+    function, by panel-graded Gauss-Legendre integration over (p, 1).
+
+    The panel count doubles until two successive refinements agree within
+    ``rel_tol`` (relative to the larger of the integral and its absolute
+    counterpart).  A budget of 2^20 nodes guards against quantiles without
+    a finite first moment.
+
+    ``quantile_fn`` takes one float level at a time.  ``tail_quantile_fn(t)``,
+    when supplied, evaluates the quantile at level 1 - t directly; heavy
+    tails then resolve below the double-precision spacing at 1, which
+    ``quantile_fn(1 - t)`` cannot reach.
+    """
+    return _quadrature(
+        _per_node(quantile_fn),
+        n,
+        p,
+        rel_tol,
+        None if tail_quantile_fn is None else _per_node(tail_quantile_fn),
+    )
+
+
 def es_n(
     dist: DistributionModel,
     n: int,
@@ -314,16 +250,17 @@ def es_n(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> EsResult:
     """n-th-order Expected Shortfall: closed form when available, otherwise
-    quadrature over the family's quantile function."""
+    quadrature over the family's quantile function, evaluated on whole node
+    arrays."""
     try:
         return EsResult(es_n_closed(dist, n, p), EsMethod.CLOSED_FORM)
     except NoClosedForm:
-        return es_n_quadrature(
+        return _quadrature(
             lambda s: quantile(dist, s),
             n,
             p,
             rel_tol,
-            tail_quantile_fn=lambda t: tail_quantile(dist, t),
+            lambda t: tail_quantile(dist, t),
         )
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pelve import MalformedCsv, NonMonotoneDates, NonPositivePrice
+from pelve import ExcessGPD, MalformedCsv, NonMonotoneDates, NonPositivePrice, pelve_closed
 from pelve.cli import (
     RollingConfig,
     ingest_prices,
@@ -135,6 +135,17 @@ def test_cli_csv_json_values_agree():
         assert csv_values[(rec["metric"], repr(float(rec["level"])))] == rec["value"]
 
 
+def test_cli_analytic_excess_gpd_starts_at_base_level():
+    code, out, _ = run_cli(
+        ["analytic", "--dist", "excessgpd:1,0.25,2,0.3", "--order", "2", "--epsilon", "0.05"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[1][:2] == ["es_2", "0.3"]
+    closed = pelve_closed(ExcessGPD(1, 0.25, 2, 0.3), 2, 0.05).value
+    assert rows[-1][0] == "pelve_2" and float(rows[-1][2]) == pytest.approx(closed, abs=1e-6)
+
+
 def test_cli_usage_errors_exit_1():
     code, _, err = run_cli([])
     assert code == 1 and err
@@ -144,6 +155,13 @@ def test_cli_usage_errors_exit_1():
     assert code == 1
     code, _, _ = run_cli(["analytic", "--dist", "uniform:0,1,9"])
     assert code == 1
+    code, _, _ = run_cli(["simulate", "--dist", "normal:0,1", "--replicates", "2",
+                          "--length", "10", "--seed", "-1"])
+    assert code == 1
+    for flag, value in (("--ctol", "1e-2"), ("--ctol", "1e-13"), ("--reltol", "0.1"),
+                        ("--reltol", "1e-15")):
+        code, _, err = run_cli([flag, value, "analytic", "--dist", "uniform:0,1"])
+        assert code == 1 and "must lie in" in err
 
 
 def test_cli_data_errors_exit_2(tmp_path):

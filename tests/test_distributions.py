@@ -113,6 +113,11 @@ def test_excess_gpd_reduces_to_gpd():
         e = ExcessGPD(0, kappa, 1.5, 0)
         for p in P_GRID:
             assert quantile(e, p) == pytest.approx(quantile(g, p), abs=1e-12)
+            assert tail_quantile(e, p) == pytest.approx(tail_quantile(g, p), abs=1e-12)
+            for n in (1, 2):
+                assert e.es_closed(n, p) == pytest.approx(g.es_closed(n, p), abs=1e-12)
+        assert e.closed_multiplier(2) == g.closed_multiplier(2)
+        assert np.array_equal(sample(e, 3, 500), sample(g, 3, 500))
 
 
 @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
@@ -123,6 +128,27 @@ def test_tail_quantile_matches_quantile(dist):
         assert tail_quantile(dist, 1 - p) == pytest.approx(
             quantile(dist, p), rel=1e-12, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+def test_array_levels_match_float_calls(dist):
+    # Arrays go through numpy's vectorised log and pow, which can differ from
+    # libm by an ulp.  GPD-type formulas subtract 1 from a power near 1, which
+    # turns that ulp into an absolute error at the scale of the larger
+    # quantiles, so the bound is 4 ulp of max(|value|, largest value on
+    # P_GRID).
+    floor = dist.level_floor
+    p = np.array([x for x in P_GRID if x > floor])
+    t = np.array([x for x in P_GRID if x < 1.0 - floor] + [1e-12, 1e-300])
+    for method, levels in ((dist.quantile, p), (dist.tail_quantile, t)):
+        singles = [method(float(x)) for x in levels]
+        assert all(type(v) is float for v in singles)
+        singles = np.array(singles)
+        whole = method(levels)
+        assert isinstance(whole, np.ndarray) and whole.shape == levels.shape
+        grid_max = np.abs(singles[levels >= P_GRID[0]]).max()
+        tol = 4 * np.spacing(np.maximum(np.abs(singles), grid_max))
+        assert np.all(np.abs(whole - singles) <= tol)
 
 
 def test_sample_range_and_determinism():

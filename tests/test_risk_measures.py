@@ -120,6 +120,10 @@ def test_quadrature_flags_nonintegrable_tails():
                 0.5,
                 tail_quantile_fn=lambda t: tail_quantile(d, t),
             )
+    # Node arrays whose quantiles overflow to inf end the same way.
+    for alpha in (0.5, 0.005):
+        with pytest.raises(QuadratureNonConvergence):
+            es_n(Pareto(1, alpha), 1, 0.5)
 
 
 @pytest.mark.parametrize("dist", CLOSED_FAMILIES, ids=repr)
