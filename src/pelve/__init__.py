@@ -20,8 +20,10 @@ from .empirical import (
     WeightVector,
     empirical_es_n,
     empirical_pelve,
+    empirical_pelve_rows,
     empirical_var,
     es_n_weights,
+    is_degenerate,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -39,6 +41,7 @@ from .errors import (
     OrderOutOfRange,
     PelveError,
     QuadratureNonConvergence,
+    QuantileOverflow,
     SampleTooSmall,
 )
 from .montecarlo import StudyConfig, StudyResult, export_histogram, run_study
@@ -82,13 +85,13 @@ __all__ = [
     "pelve_from_quantile", "pelve2_rv_limit", "karamata_ratio",
     # empirical
     "OrderedSample", "WeightVector", "empirical_var", "es_n_weights",
-    "empirical_es_n", "empirical_pelve",
+    "empirical_es_n", "empirical_pelve", "empirical_pelve_rows", "is_degenerate",
     # monte carlo
     "StudyConfig", "StudyResult", "run_study", "export_histogram",
     # errors
     "PelveError", "LevelOutOfRange", "OrderOutOfRange", "InvalidParameter",
     "ExcessGPDBelowThreshold", "ExcessGPDLevelBelowBase", "NoClosedForm",
-    "QuadratureNonConvergence", "BracketFailure", "AlphaOutOfRange",
+    "QuadratureNonConvergence", "QuantileOverflow", "BracketFailure", "AlphaOutOfRange",
     "KappaOutOfRange", "NoFiniteEstimates", "MalformedCsv",
     "NonPositivePrice", "NonMonotoneDates", "SampleTooSmall",
 ]

@@ -31,10 +31,12 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from datetime import date
 from typing import Optional
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import (
     DistributionModel,
@@ -46,14 +48,20 @@ from .distributions import (
     Uniform,
     quantile,
 )
-from .empirical import OrderedSample, empirical_es_n, empirical_pelve, empirical_var
+from .empirical import (
+    OrderedSample,
+    empirical_es_n,
+    empirical_pelve,
+    empirical_pelve_rows,
+    empirical_var,
+    is_degenerate,
+)
 from .errors import (
     InvalidParameter,
     MalformedCsv,
     NonMonotoneDates,
     NonPositivePrice,
     PelveError,
-    SampleTooSmall,
 )
 from .montecarlo import StudyConfig, export_histogram, run_study
 from .pelve_solver import (
@@ -172,17 +180,14 @@ def rolling_pelve(series: ReturnSeries, cfg: RollingConfig, c_tol: float = DEFAU
     if m < cfg.window:
         raise MalformedCsv(f"series length {m} is shorter than window {cfg.window}")
     sign = -1.0 if cfg.negate else 1.0
-    rows = []
-    for t in range(cfg.window, m + 1):
-        chunk = [sign * r for r in series.returns[t - cfg.window : t]]
-        sample = OrderedSample(chunk)
-        for order in cfg.orders:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", SampleTooSmall)
-                result = empirical_pelve(sample, order, cfg.eps, c_tol)
-            degenerate = any(issubclass(w.category, SampleTooSmall) for w in caught)
-            rows.append((series.dates[t - 1], order, result, degenerate))
-    return rows
+    windows = np.sort(sliding_window_view(sign * np.asarray(series.returns), cfg.window), axis=1)
+    degenerate = is_degenerate(cfg.window, cfg.eps)
+    by_order = [empirical_pelve_rows(windows, order, cfg.eps, c_tol) for order in cfg.orders]
+    return [
+        (d, order, results[t], degenerate)
+        for t, d in enumerate(series.dates[cfg.window - 1 :])
+        for order, results in zip(cfg.orders, by_order)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +291,8 @@ def _cmd_empirical(args, out) -> int:
     sign = -1.0 if args.negate else 1.0
     sample = OrderedSample([sign * r for r in series.returns])
     n, eps = args.order, args.epsilon
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SampleTooSmall)
-        result = empirical_pelve(sample, n, eps, args.ctol)
-    degenerate = any(issubclass(w.category, SampleTooSmall) for w in caught)
+    result = empirical_pelve(sample, n, eps, args.ctol)
+    degenerate = is_degenerate(sample.m, eps)
     var_hat = empirical_var(sample, 1.0 - eps)
     es_hat = empirical_es_n(sample, n, 1.0 - eps)
     if args.format == "json":

@@ -42,6 +42,7 @@ from .errors import (
     LevelOutOfRange,
     NoClosedForm,
     OrderOutOfRange,
+    QuantileOverflow,
 )
 
 __all__ = [
@@ -114,7 +115,12 @@ class _Family:
             raise ExcessGPDLevelBelowBase(
                 f"quantile requires p > base_cdf_at_u={self.level_floor}, got p={p}"
             )
-        return self._quantile(p)
+        try:
+            return self._quantile(p)
+        except OverflowError:  # raised by float **; arrays overflow to inf
+            raise QuantileOverflow(
+                f"quantile of {self!r} at level {p} exceeds the float range"
+            ) from None
 
     def tail_quantile(self, t):
         """The quantile at level 1 - t, computed from the tail probability
@@ -125,7 +131,12 @@ class _Family:
             raise ExcessGPDLevelBelowBase(
                 f"tail probability must be below 1 - base_cdf_at_u = {1.0 - self.level_floor}"
             )
-        return self._tail_quantile(t)
+        try:
+            return self._tail_quantile(t)
+        except OverflowError:
+            raise QuantileOverflow(
+                f"quantile of {self!r} at tail probability {t} exceeds the float range"
+            ) from None
 
     def closed_multiplier(self, n: int) -> tuple[float, float]:
         """(PELVE_n, largest eps it holds for) in closed form; above that
@@ -407,6 +418,8 @@ def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
     """
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(count)
     # rng.random() yields [0, 1); shift exact zeros off the rejected level 0.

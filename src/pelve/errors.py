@@ -30,6 +30,12 @@ class NoClosedForm(PelveError):
     """No closed form is available for the requested (family, order) pair."""
 
 
+class QuantileOverflow(PelveError, OverflowError):
+    """A quantile lies beyond the largest float, as far out in a very heavy
+    tail.  Also an OverflowError, which the float formulas raised before,
+    so existing handlers (the quadrature's among them) still catch it."""
+
+
 class QuadratureNonConvergence(PelveError):
     """Panel budget exhausted before the requested tolerance was met.
     Usually signals a quantile function without a finite first moment."""

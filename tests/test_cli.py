@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from pelve import ExcessGPD, MalformedCsv, NonMonotoneDates, NonPositivePrice, pelve_closed
+from pelve import (
+    ExcessGPD,
+    MalformedCsv,
+    NonMonotoneDates,
+    NonPositivePrice,
+    SampleTooSmall,
+    pelve_closed,
+)
 from pelve.cli import (
     RollingConfig,
     ingest_prices,
@@ -175,6 +182,14 @@ def test_cli_data_errors_exit_2(tmp_path):
     assert code == 2 and "positive" in err
 
 
+def test_cli_analytic_quantile_overflow_exits_2():
+    # VaR at 0.95 of a Pareto with tail 0.003 is about 1e390, past the floats.
+    code, out, err = run_cli(["analytic", "--dist", "pareto:1,0.003"])
+    assert code == 2 and out == ""
+    assert err.startswith("pelve: quantile of Pareto") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_empirical_from_file():
     code, out, _ = run_cli(
         ["empirical", "--input", str(DATA), "--kind", "returns", "--order", "2"]
@@ -204,14 +219,15 @@ def test_cli_rolling_two_row_constant_prices(tmp_path):
     f.write_text(
         "date,price\n2020-01-01,100\n2020-01-02,100\n2020-01-03,100\n"
     )
-    code, out, _ = run_cli(
-        ["rolling", "--input", str(f), "--kind", "prices", "--window", "2",
-         "--epsilon", "0.2", "--orders", "1"]
-    )
+    with pytest.warns(SampleTooSmall):  # m*eps = 0.4
+        code, out, _ = run_cli(
+            ["rolling", "--input", str(f), "--kind", "prices", "--window", "2",
+             "--epsilon", "0.2", "--orders", "1"]
+        )
     assert code == 0
     body = out.splitlines()[1:]
     assert len(body) == 1  # two returns, window 2: a single window
-    assert all(line.split(",")[2] == "1.0" for line in body)
+    assert all(line.split(",")[2:] == ["1.0", "true"] for line in body)
 
 
 def test_cli_rolling_inf_rendering_and_golden_stability():

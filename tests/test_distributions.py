@@ -15,6 +15,7 @@ from pelve import (
     LevelOutOfRange,
     Normal,
     Pareto,
+    QuantileOverflow,
     Uniform,
     cdf,
     quantile,
@@ -178,6 +179,24 @@ def test_sample_excess_gpd_stays_above_threshold():
 def test_sample_count_validation():
     with pytest.raises(InvalidParameter):
         sample(Uniform(0, 1), 1, 0)
+
+
+def test_sample_rejects_negative_seed():
+    with pytest.raises(InvalidParameter, match="seed"):
+        sample(Normal(0, 1), -1, 5)
+
+
+def test_float_quantile_overflow_is_typed():
+    # 0.05 ** (-1/0.003) is past the float range; Python's float ** raises.
+    d = Pareto(1, 0.003)
+    with pytest.raises(QuantileOverflow):
+        d.quantile(0.95)
+    with pytest.raises(QuantileOverflow):
+        d.tail_quantile(0.05)
+    with pytest.raises(QuantileOverflow):
+        GeneralizedPareto(300, 1).quantile(0.95)
+    # Below the overflow the float formula and its bits are unchanged.
+    assert Pareto(1, 0.01).quantile(0.95) == 1.0 * (1.0 - 0.95) ** (-1.0 / 0.01)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from pelve import (
     Uniform,
     empirical_es_n,
     empirical_pelve,
+    empirical_pelve_rows,
     empirical_var,
     es_n_weights,
+    is_degenerate,
     sample,
 )
+from pelve.empirical import block_rows
+from pelve.pelve_solver import _solve
 
 
 def test_ordered_sample_sorts_and_validates():
@@ -199,3 +204,89 @@ def test_empirical_es_between_min_and_max(raw, n, p):
     s = OrderedSample(raw)
     v = empirical_es_n(s, n, p)
     assert s.values[0] - 1e-9 <= v <= s.values[-1] + 1e-9
+
+
+# --- batched solve ------------------------------------------------------------
+
+def _per_sample_solve(values, n, eps, c_tol):
+    # The one-sample solve the batched kernel replaces: every bisection step
+    # rebuilds the weights through es_n_weights.
+    s = OrderedSample(values)
+    excess = s.values - empirical_var(s, 1.0 - eps)
+    return _solve(lambda p: es_n_weights(s.m, n, p).weights @ excess, eps, c_tol)
+
+
+def _assert_rows_match(x, n, eps, c_tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleTooSmall)
+        # numpy's default sort may order -0.0 and 0.0 unlike OrderedSample's
+        # stable sort; the results must not notice.
+        got = empirical_pelve_rows(np.sort(x, axis=1), n, eps, c_tol)
+        expected = [_per_sample_solve(row, n, eps, c_tol) for row in x]
+    assert len(got) == len(expected)
+    for j, (a, b) in enumerate(zip(got, expected)):
+        assert a == b, (j, a, b)
+
+
+@st.composite
+def _sample_matrices(draw):
+    b, m = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    # Cells come from a small pool (ties, both zeros) or from a heavy-tailed
+    # draw, mixed in a drawn proportion; a seeded generator fills the matrix.
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.37, -1.5, 2.0]), st.floats(-1e6, 1e6)),
+        min_size=1, max_size=6,
+    ))
+    free = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    tied = rng.choice(np.array(pool), size=(b, m))
+    return np.where(rng.random((b, m)) < free, rng.standard_t(2.0, (b, m)), tied)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_sample_matrices(),
+    n=st.integers(1, 4),
+    eps=st.floats(0.001, 0.999),
+    c_tol=st.sampled_from([1e-9, 2.0 ** -30]),
+)
+def test_batched_solve_equals_per_sample_solve(x, n, eps, c_tol):
+    _assert_rows_match(x, n, eps, c_tol)
+
+
+def test_batched_solve_rows_stop_on_their_own_step():
+    # At a power-of-two c_tol the width goal is hit exactly in exact
+    # arithmetic, so rounding decides per row whether one more step runs.
+    x = np.random.Generator(np.random.PCG64(5)).standard_normal((40, 200))
+    got = empirical_pelve_rows(np.sort(x, axis=1), 2, 0.07, 2.0 ** -30)
+    assert {r.iterations for r in got} == {30, 31}
+    _assert_rows_match(x, 2, 0.07, 2.0 ** -30)
+
+
+def test_batched_solve_spans_blocks():
+    assert 47 % block_rows(3000) and 47 > block_rows(3000)  # a partial last block
+    x = sample(Exponential(1), 2, 47 * 3000).reshape(47, 3000)
+    x[7] = x[7, 0]  # a tied row inside the first block
+    _assert_rows_match(x, 2, 0.05, 1e-9)
+    # A column-major matrix gives the same results as a row-major one.
+    rows = np.sort(x, axis=1)
+    row_major = empirical_pelve_rows(rows, 2, 0.05)
+    assert empirical_pelve_rows(np.asfortranarray(rows), 2, 0.05) == row_major
+
+
+def test_batched_solve_validates():
+    with pytest.raises(LevelOutOfRange):
+        empirical_pelve_rows(np.zeros((2, 5)), 1, 1.5)
+    with pytest.raises(InvalidParameter):
+        empirical_pelve_rows(np.zeros(5), 1, 0.05)
+    with pytest.raises(InvalidParameter):
+        empirical_pelve_rows(np.array([[0.0, math.inf]]), 1, 0.05)
+    assert empirical_pelve_rows(np.zeros((0, 5)), 1, 0.5) == []
+
+
+def test_batched_solve_warns_once_when_degenerate():
+    assert is_degenerate(19, 0.05) and not is_degenerate(20, 0.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        empirical_pelve_rows(np.zeros((30, 10)), 2, 0.05)
+    assert [w.category for w in caught] == [SampleTooSmall]

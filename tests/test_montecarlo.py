@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pelve import (
+    ExcessGPD,
     InvalidParameter,
     NoFiniteEstimates,
     Normal,
     OrderedSample,
+    Pareto,
     StudyConfig,
     Uniform,
     empirical_pelve,
@@ -15,6 +17,7 @@ from pelve import (
     run_study,
     sample,
 )
+from pelve.empirical import block_rows
 from pelve.montecarlo import replicate_seed
 
 NORMAL_TARGET = 4.040815190877765  # analytic order-2 multiplier at eps 0.05
@@ -25,6 +28,44 @@ def test_config_validation():
         StudyConfig(Normal(0, 1), 2, 0.05, 0, 100, 1)
     with pytest.raises(InvalidParameter):
         StudyConfig(Normal(0, 1), 2, 0.05, 10, 1, 1)
+
+
+def test_negative_seed_is_a_typed_error():
+    with pytest.raises(InvalidParameter, match="seed"):
+        run_study(StudyConfig(Normal(0, 1), 2, 0.05, 3, 100, -1))
+
+
+@pytest.mark.parametrize(
+    "dist", [Normal(0, 1), Pareto(1, 3), ExcessGPD(1, 0.3, 1, 0.9)], ids=repr
+)
+def test_blocked_study_equals_per_replicate_solves(dist):
+    assert 45 % block_rows(3000) and 45 > block_rows(3000)  # a partial last block
+    cfg = StudyConfig(dist, 2, 0.05, 45, 3000, 7)
+    res = run_study(cfg)
+    expected = [
+        empirical_pelve(OrderedSample(sample(dist, replicate_seed(7, r), 3000)), 2, 0.05)
+        for r in range(1, 46)
+    ]
+    assert list(res.estimates) == expected
+    assert res.failures == ()
+
+
+def test_replicate_failures_keep_their_place():
+    # Pareto(1, 0.01) overflows to inf in some draws of 200; those replicates
+    # fail with the message a per-sample OrderedSample would give, and the
+    # others keep their per-sample estimates.
+    dist = Pareto(1, 0.01)
+    with np.errstate(over="ignore"):
+        res = run_study(StudyConfig(dist, 2, 0.05, 25, 200, 1))
+        draws = [sample(dist, replicate_seed(1, r), 200) for r in range(1, 26)]
+    failed = [r for r, _ in res.failures]
+    assert failed and len(failed) < 25
+    assert all(msg == "sample values must all be finite" for _, msg in res.failures)
+    for r, (draw, est) in enumerate(zip(draws, res.estimates), start=1):
+        if r in failed:
+            assert est is None and not np.isfinite(draw).all()
+        else:
+            assert est == empirical_pelve(OrderedSample(draw), 2, 0.05)
 
 
 def test_single_replicate_matches_direct_call():
