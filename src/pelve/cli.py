@@ -8,8 +8,9 @@ empirical   The same estimators from a CSV sample of prices or returns.
 simulate    Seeded replicate study of the empirical multiplier.
 rolling     Windowed multiplier series over daily returns.
 
-Global flags: --format csv|json, --ctol (bisection tolerance), --reltol
-(quadrature tolerance).  Exit codes: 0 success, 1 usage error, 2 data error.
+Global flags: --format csv|json, --ctol (bisection tolerance of
+``analytic``; the empirical solves are exact), --reltol (quadrature
+tolerance).  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Input CSV is UTF-8 with a mandatory ``date,price`` or ``date,return``
 header; dates are ISO-8601 and strictly increasing.  Return values are
@@ -172,7 +173,7 @@ def ingest_returns(csv_text: str) -> ReturnSeries:
 # rolling analysis
 # ---------------------------------------------------------------------------
 
-def rolling_pelve(series: ReturnSeries, cfg: RollingConfig, c_tol: float = DEFAULT_C_TOL):
+def rolling_pelve(series: ReturnSeries, cfg: RollingConfig):
     """Empirical multiplier over each trailing window of cfg.window returns,
     one row per (window end date, order):
     (date, order, PelveResult, degenerate_flag)."""
@@ -182,7 +183,7 @@ def rolling_pelve(series: ReturnSeries, cfg: RollingConfig, c_tol: float = DEFAU
     sign = -1.0 if cfg.negate else 1.0
     windows = np.sort(sliding_window_view(sign * np.asarray(series.returns), cfg.window), axis=1)
     degenerate = is_degenerate(cfg.window, cfg.eps)
-    by_order = [empirical_pelve_rows(windows, order, cfg.eps, c_tol) for order in cfg.orders]
+    by_order = [empirical_pelve_rows(windows, order, cfg.eps) for order in cfg.orders]
     return [
         (d, order, results[t], degenerate)
         for t, d in enumerate(series.dates[cfg.window - 1 :])
@@ -244,7 +245,7 @@ def _level_grid(floor: float, eps: float):
     return [p for p in grid if floor <= p < 1.0]
 
 
-def _cmd_analytic(args, out) -> int:
+def _cmd_analytic(args, out, err) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
     for p in _level_grid(dist.level_floor, eps):
@@ -286,12 +287,12 @@ def _load_series(args) -> ReturnSeries:
     return ingest_prices(text) if args.kind == "prices" else ingest_returns(text)
 
 
-def _cmd_empirical(args, out) -> int:
+def _cmd_empirical(args, out, err) -> int:
     series = _load_series(args)
     sign = -1.0 if args.negate else 1.0
     sample = OrderedSample([sign * r for r in series.returns])
     n, eps = args.order, args.epsilon
-    result = empirical_pelve(sample, n, eps, args.ctol)
+    result = empirical_pelve(sample, n, eps)
     degenerate = is_degenerate(sample.m, eps)
     var_hat = empirical_var(sample, 1.0 - eps)
     es_hat = empirical_es_n(sample, n, 1.0 - eps)
@@ -322,7 +323,7 @@ def _cmd_empirical(args, out) -> int:
     return 0
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args, out, err) -> int:
     cfg = StudyConfig(
         dist=args.dist,
         n=args.order,
@@ -330,9 +331,12 @@ def _cmd_simulate(args, out) -> int:
         replicates=args.replicates,
         sample_len=args.length,
         seed=args.seed,
-        c_tol=args.ctol,
     )
     res = run_study(cfg)
+    if res.failures:
+        causes = "; ".join(dict.fromkeys(message for _, message in res.failures))
+        print(f"pelve: {len(res.failures)} of {cfg.replicates} replicates failed: {causes}",
+              file=err)
     hist = export_histogram(res, args.bins) if res.finite_count else []
     if args.format == "json":
         json.dump(
@@ -364,7 +368,7 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-def _cmd_rolling(args, out) -> int:
+def _cmd_rolling(args, out, err) -> int:
     series = _load_series(args)
     cfg = RollingConfig(
         window=args.window,
@@ -372,7 +376,7 @@ def _cmd_rolling(args, out) -> int:
         orders=tuple(args.orders),
         negate=args.negate,
     )
-    rows = rolling_pelve(series, cfg, args.ctol)
+    rows = rolling_pelve(series, cfg)
     if args.format == "json":
         records = [
             {
@@ -450,7 +454,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pelve", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--ctol", type=_float_checked_by(_check_c_tol), default=DEFAULT_C_TOL,
-                        help="bisection tolerance on the multiplier")
+                        help="bisection tolerance on the multiplier (analytic only; "
+                             "the empirical solves are exact)")
     parser.add_argument("--reltol", type=_float_checked_by(_check_rel_tol), default=DEFAULT_REL_TOL,
                         help="relative tolerance of the quadrature fallback")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -503,7 +508,7 @@ def main(argv=None, out=None, err=None) -> int:
         print(exc, file=err)
         return 1
     try:
-        return args.fn(args, out)
+        return args.fn(args, out, err)
     except (PelveError, OSError) as exc:
         print(f"pelve: {exc}", file=err)
         return 2

@@ -425,4 +425,7 @@ def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
     # rng.random() yields [0, 1); shift exact zeros off the rejected level 0.
     u[u == 0.0] = np.finfo(float).tiny
     floor = dist.level_floor
-    return dist.quantile(floor + (1.0 - floor) * u)
+    # A quantile beyond the float range comes out as inf, which the callers
+    # reject as a non-finite sample; numpy need not warn about it as well.
+    with np.errstate(over="ignore"):
+        return dist.quantile(floor + (1.0 - floor) * u)

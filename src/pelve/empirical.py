@@ -7,6 +7,20 @@ p in ((i-1)/m, i/m].  The empirical ES_n is a weighted mean of the ordered
 sample, with weight w_i equal to the increment of the distortion
 h_p(s) = ((s-p)/(1-p))^n over ((i-1)/m, i/m]; at n=1 these are the
 standard averaged-tail ES weights.
+
+The multiplier estimate is solved exactly.  Write t = m*(1-p) = c*eps*m,
+d_j = x_(m-j+1) - x_(m-j) for the gaps between neighbouring top order
+statistics and G = x_(m) - VaR-hat(1 - eps).  Summation by parts turns the
+weighted mean into
+
+    ES-hat_n(p) = x_(m) - sum_{1 <= j < t} ((t - j)/t)^n d_j,
+
+so ES-hat_n(1 - c*eps) <= VaR-hat(1 - eps) exactly when
+
+    sum_{1 <= j < t} (t - j)^n d_j >= G t^n,
+
+a piecewise polynomial inequality in t of degree n whose breakpoints are
+the integers.
 """
 
 from __future__ import annotations
@@ -18,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _check_order
-from .errors import InvalidParameter, LevelOutOfRange, SampleTooSmall
-from .pelve_solver import DEFAULT_C_TOL, PelveResult, _check_c_tol, _check_eps
+from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, SampleTooSmall
+from .pelve_solver import PelveResult, _check_eps
 
 __all__ = [
     "OrderedSample",
@@ -118,31 +132,33 @@ def is_degenerate(m: int, eps: float) -> bool:
     return m * eps < 1.0
 
 
-def empirical_pelve(
-    sample: OrderedSample,
-    n: int,
-    eps: float,
-    c_tol: float = DEFAULT_C_TOL,
-) -> PelveResult:
+def empirical_pelve(sample: OrderedSample, n: int, eps: float) -> PelveResult:
     """Empirical equivalent-level multiplier: smallest c in [1, 1/eps] with
     ES-hat_n(1 - c*eps) <= VaR-hat(1 - eps), infinite when the set is empty.
 
-    The map c -> ES-hat_n(1 - c*eps) is continuous and nonincreasing (the
-    distortion h_p is pointwise nonincreasing in p over sorted values), so
-    bisection applies.  ES-hat is compared with VaR-hat in difference form,
+    By summation by parts (see the module docstring), with t = c*eps*m the
+    test reads sum_{j<t} (t - j)^n d_j >= G t^n, where d_j are the gaps
+    between the top order statistics and G = x_(m) - VaR-hat.  Both sides
+    are polynomials in t between neighbouring integers, so the root is
+    found exactly: first its cell between two integers, then the root of
+    that cell's polynomial.  The existence check at c = 1/eps and the left
+    endpoint c = 1 compare ES-hat with VaR-hat in difference form,
     w . (x - VaR-hat), so values tied with VaR-hat contribute exactly zero
-    and rounding in the weights cannot flip the comparison.  Warns when
-    m*eps < 1, where VaR-hat sits on the sample maximum and the estimate is
+    and rounding in the weights cannot flip them.  Warns when m*eps < 1,
+    where VaR-hat sits on the sample maximum and the estimate is
     degenerate.  This is :func:`empirical_pelve_rows` on one row.
     """
-    return empirical_pelve_rows(sample.values[None, :], n, eps, c_tol)[0]
+    return empirical_pelve_rows(sample.values[None, :], n, eps)[0]
 
 
-# The batched solve takes rows in blocks of about this many doubles, so each
-# of its three work buffers stays near 256 KiB whatever the number of rows.
-# Twice that measured about 1 MiB more peak RSS on a 100 x 5000 study for
-# under 10% less time.
+# The batched solve takes rows in blocks of about this many doubles.  Its
+# n+1 cumulative-sum buffers and the few others of the cell search each
+# hold one block, near 256 KiB, whatever the number of rows.
 BLOCK_DOUBLES = 1 << 15
+
+# The cell search works with integers up to (m+n)^n times a sample scaled
+# into (-1, 1); this many binary digits of exponent keep it finite.
+_MAX_EXPONENT_BITS = 1000
 
 
 def block_rows(m: int) -> int:
@@ -150,26 +166,24 @@ def block_rows(m: int) -> int:
     return max(1, BLOCK_DOUBLES // m)
 
 
-def empirical_pelve_rows(
-    rows,
-    n: int,
-    eps: float,
-    c_tol: float = DEFAULT_C_TOL,
-) -> list:
+def empirical_pelve_rows(rows, n: int, eps: float) -> list:
     """:func:`empirical_pelve` of every row of an ascending-sorted (B, m)
     matrix of finite values, as a list of B results.
 
-    Each row gets the result of the scalar solve in
-    :func:`pelve_solver._solve` on its own gap, bit for bit: the existence
-    check at p = 0, the left endpoint c = 1, then bisection.  The rows still
-    open bisect in lock step, each stopping on the step where its own
-    bracket reaches the width goal.  The weights of every row are built in
-    one buffer by the floating-point operations of :func:`es_n_weights`,
-    and each row's dot product is the same BLAS call as ``w @ excess``.
-    Warns once when m*eps < 1.
+    Per row: the multiplier is infinite when ES-hat_n(0) > VaR-hat, and 1
+    when ES-hat_n(1 - eps) <= VaR-hat.  Otherwise cumulative sums of the top
+    gaps give sum_{j<K} (K - j)^n d_j at every integer K (Worpitzky's
+    identity, all terms nonnegative), the first K above eps*m where it
+    reaches G K^n bounds the root's cell (K-1, K], and the root inside is
+    solved in closed form for n <= 2 or bisected to the last bit for
+    n >= 3 (``iterations`` counts those steps).  ``residual`` is
+    |ES-hat_n - VaR-hat| at the returned c, from the distortion weights.
+    Every step runs along each row on its own, so a row's result does not
+    depend on the other rows.  Warns once when m*eps < 1.  Raises
+    ``OrderOutOfRange`` when a row needs the root search and n*log2(m+n)
+    exceeds 1000, where the cell search would overflow.
     """
     _check_eps(eps)
-    _check_c_tol(c_tol)
     _check_order(n)
     # C order keeps every row's dot product a unit-stride ddot, whose sum
     # order matches the one-row call; a strided ddot may round differently.
@@ -188,15 +202,14 @@ def empirical_pelve_rows(
             SampleTooSmall,
             stacklevel=2,
         )
-    grid = np.arange(m + 1) / m
     step = block_rows(m)
     results: list = []
     for start in range(0, rows.shape[0], step):
-        results += _solve_block(rows[start : start + step], grid, n, eps, c_tol)
+        results += _solve_block(rows[start : start + step], n, eps)
     return results
 
 
-def _solve_block(x: np.ndarray, grid: np.ndarray, n: int, eps: float, c_tol: float) -> list:
+def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
     b, m = x.shape
     i_var = min(max(math.ceil(m * (1.0 - eps)), 1), m)
     excess = x - x[:, i_var - 1, None]
@@ -204,16 +217,20 @@ def _solve_block(x: np.ndarray, grid: np.ndarray, n: int, eps: float, c_tol: flo
     # on the same level, so one weight vector serves the whole block.
     infinite = _row_dots(es_n_weights(m, n, 0.0).weights, excess) > 0.0
     g1 = _row_dots(es_n_weights(m, n, 1.0 - eps).weights, excess)
-    bisect = ~infinite & (g1 > 0.0)
+    solve = ~infinite & (g1 > 0.0)
     value = np.ones(b)
     iterations = np.zeros(b, dtype=np.int64)
     residual = np.abs(g1)
-    if bisect.any():
-        if not bisect.all():
-            excess = excess[bisect]  # the open rows only; frees the full block
-        value[bisect], iterations[bisect], residual[bisect] = _bisect(
-            excess, grid, n, eps, c_tol
-        )
+    # The open rows' excess is formed again for their residual, so that the
+    # root search runs with one block-sized buffer fewer.
+    del excess
+    if solve.any():
+        if not solve.all():
+            x = x[solve]  # the open rows only
+        c, iterations[solve] = _roots(x, n, eps, m - i_var)
+        value[solve] = c
+        excess = x - x[:, i_var - 1, None]
+        residual[solve] = np.abs(_gaps(excess, n, np.maximum(1.0 - c * eps, 0.0)))
     return [
         PelveResult.infinite() if inf else PelveResult.finite(c, steps, res)
         for inf, c, steps, res in zip(
@@ -228,39 +245,134 @@ def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:
     return np.matmul(w[..., None, :], excess[:, :, None])[:, 0, 0]
 
 
-def _bisect(excess: np.ndarray, grid: np.ndarray, n: int, eps: float, c_tol: float):
-    # Lock-step bisection of _solve over [1, 1/eps] for rows whose gap is
-    # positive at c = 1 and not at c = 1/eps; returns (c, steps, residual).
-    k, m = excess.shape
-    h = np.empty((k, m + 1))
-    w = np.empty((k, m))
+def _gaps(excess: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    # es_n_weights(m, n, p[j]).weights @ excess[j] for every row j, by the
+    # same floating-point operations.  `h **= n` rebinds h to itself; unlike
+    # np.power it takes numpy's fast path for n = 2, as the `** n` in
+    # es_n_weights does.  es_n_weights' top-cell case needs no branch: for
+    # p >= (m-1)/m the formula gives its one-hot weights exactly.
+    m = excess.shape[1]
+    h = np.subtract(np.arange(m + 1) / m, p[:, None])
+    np.maximum(h, 0.0, out=h)
+    h /= (1.0 - p)[:, None]
+    h **= n
+    return _row_dots(h[:, 1:] - h[:, :-1], excess)
 
-    def gap(p: np.ndarray) -> np.ndarray:
-        # es_n_weights(m, n, p[j]).weights @ excess[j] for every row j,
-        # by the same floating-point operations.
-        # `h **= n` rebinds h to itself; unlike np.power it takes numpy's
-        # fast path for n = 2, as the `** n` in es_n_weights does.
-        nonlocal h
-        np.subtract(grid, p[:, None], out=h)
-        np.maximum(h, 0.0, out=h)
-        h /= (1.0 - p)[:, None]
-        h **= n
-        np.subtract(h[:, 1:], h[:, :-1], out=w)
-        # es_n_weights' top-cell case needs no branch: for p >= (m-1)/m the
-        # formula gives its one-hot weights exactly, (1-p)/(1-p) being 1.
-        return _row_dots(w, excess)
 
-    c_max = 1.0 / eps
-    width_goal = c_tol * (c_max - 1.0)
-    lo, hi = np.ones(k), np.full(k, c_max)
+def _eulerian(n: int) -> list:
+    # Rows r = 0..n of the Eulerian numbers A(r, k), k = 0..max(r-1, 0), by
+    # A(r, k) = (k+1) A(r-1, k) + (r-k) A(r-1, k-1).  Worpitzky's identity
+    # x^r = sum_k A(r, k) C(x+k, r) holds for every integer x >= 0 and r >= 1.
+    table = [[1]]
+    for r in range(1, n + 1):
+        prev = table[-1] + [0]
+        table.append([(k + 1) * prev[k] + (r - k) * (prev[k - 1] if k else 0)
+                      for k in range(r)])
+    return table
+
+
+def _weighted_sum(coefs: list, terms) -> np.ndarray:
+    # sum of coefs[i] * terms[i], left to right; a product by 1 changes no
+    # bit, so it is skipped.
+    total = 0.0
+    for a, term in zip(coefs, terms):
+        total = total + (term if a == 1 else a * term)
+    return total
+
+
+def _powers(base: np.ndarray, r: int) -> np.ndarray:
+    # base**r by repeated products: exact for the small integers it gets,
+    # and the same bits for an element whatever array holds it.
+    out = np.ones_like(base)
+    for _ in range(r):
+        out = out * base
+    return out
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # num/den where den > 0, else 1: the root at the top of the cell.
+    return np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+
+
+def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
+    # Exact multiplier of every row of x, each with its gap positive at
+    # c = 1 and not at c = 1/eps; j_var = m - i_var, so G = x_(m) - x_(m-j_var).
+    # Returns (c, in-cell bisection steps).
+    k, m = x.shape
+    if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
+        raise OrderOutOfRange(
+            f"order {n} is too large for the exact solve on {m} values "
+            f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
+        )
+    rows = np.arange(k)
+    eulerian = _eulerian(n)
+    # Scaling each row by a power of two changes no root and is exact; it
+    # brings the row into (-1, 1), so every sum below stays finite.
+    x = x * np.ldexp(1.0, -np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1])[:, None]
+    # s[r, :, n + i] = S_{r+1}(i), the (r+1)-fold cumulative sum of the top
+    # gaps d_1..d_i, so S_1(i) = x_(m) - x_(m-i); the n leading zero columns
+    # stand for i < 0.
+    s = np.empty((n + 1, k, m + n))
+    s[:, :, :n] = 0.0
+    np.subtract(x[:, -1:], x[:, ::-1], out=s[0, :, n:])
+    for r in range(n):
+        np.cumsum(s[r, :, n:], axis=1, out=s[r + 1, :, n:])
+    g = s[0, :, n + j_var]
+
+    # The root's cell is (K-1, K] for the first integer K above eps*m with
+    # sum_{j<K} (K-j)^n d_j = sum_i A(n, i) S_{n+1}(K-n+i) >= G K^n.  Where
+    # rounding leaves no such K, K = m.
+    first = math.floor(eps * m) + 1
+    ks = np.arange(first, m + 1)
+    w = _weighted_sum(eulerian[n], (s[n, :, first + i : m + 1 + i] for i in range(n)))
+    reached = w >= g[:, None] * _powers(ks.astype(float), n)
+    at = reached.argmax(axis=1)
+    low = np.where(reached[rows, at], ks[at], m) - 1
+    lowf = low.astype(float)
+
+    # On that cell t = L + s with L = K-1 and s in [0, 1], and
+    # sum_{j<t} (t-j)^n d_j - G t^n = sum_r C(n, r) q_r s^(n-r) with
+    # q_r = sum_{j<=L} (L-j)^r d_j - G L^r.  q_0 = VaR-hat - x_(m-L), taken
+    # straight from the sample.
+    q = [x[:, m - 1 - j_var] - x[rows, m - 1 - low]]
+    for r in range(1, n + 1):
+        q_r = _weighted_sum(eulerian[r], (s[r, rows, n + low - r + i] for i in range(r)))
+        q.append(q_r - g * _powers(lowf, r))
     steps = np.zeros(k, dtype=np.int64)
-    live = np.ones(k, dtype=bool)
-    while live.any():
+    if n == 1:
+        root = _divide(-q[1], q[0])
+    elif n == 2:
+        # q_0 s^2 + 2 q_1 s + q_2 = 0 with q_0 >= 0 > q_2: the root
+        # (sqrt(q_1^2 - q_0 q_2) - q_1)/q_0, written so that q_1 > 0 cancels
+        # nothing.  For q_1 < 0 the denominator cannot cancel either: ES-hat
+        # falls as c grows, so q_2 <= L q_1, and a root in the cell needs
+        # q_0 >= 2 |q_1|; together they keep it above 0.7 |q_1|.
+        a, b, c = q
+        root = _divide(-c, b + np.sqrt(np.maximum(b * b - a * c, 0.0)))
+    else:
+        root, steps = _bisect_cell(q, lowf)
+    t = lowf + np.clip(root, 0.0, 1.0)
+    return np.clip(t / (eps * m), 1.0, 1.0 / eps), steps
+
+
+def _bisect_cell(q: list, lowf: np.ndarray):
+    # Bisection of t in [L, L+1] on sum_r C(n, r) q_r (t-L)^(n-r) by Horner,
+    # each row until its bracket ends are neighbouring doubles; t - L is
+    # exact there.  Returns (t - L at the upper end, steps).
+    n = len(q) - 1
+    coef = [math.comb(n, r) * q_r for r, q_r in enumerate(q)]
+    lo, hi = lowf, lowf + 1.0
+    steps = np.zeros(lowf.size, dtype=np.int64)
+    while True:
         mid = 0.5 * (lo + hi)
-        up = gap(np.maximum(1.0 - mid * eps, 0.0)) > 0.0
-        np.copyto(lo, mid, where=live & up)
-        np.copyto(hi, mid, where=live & ~up)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return hi - lowf, steps
+        s = mid - lowf
+        value = coef[0]
+        for c in coef[1:]:
+            value = value * s + c
+        below = value < 0.0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
         steps += live
-        live &= hi - lo > width_goal
-    c = 0.5 * (lo + hi)
-    return c, steps, np.abs(gap(np.maximum(1.0 - c * eps, 0.0)))

@@ -22,7 +22,6 @@ from .empirical import block_rows, empirical_pelve_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
 from .errors import InvalidParameter, NoFiniteEstimates, PelveError
-from .pelve_solver import DEFAULT_C_TOL
 
 __all__ = [
     "StudyConfig",
@@ -49,7 +48,6 @@ class StudyConfig:
     replicates: int
     sample_len: int
     seed: int
-    c_tol: float = DEFAULT_C_TOL
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -79,7 +77,7 @@ def _estimate_rows(block: np.ndarray, cfg: StudyConfig) -> list:
     finite = np.isfinite(block).all(axis=1)
     try:
         solved = iter(empirical_pelve_rows(
-            block if finite.all() else block[finite], cfg.n, cfg.eps, cfg.c_tol
+            block if finite.all() else block[finite], cfg.n, cfg.eps
         ))
     except PelveError as exc:
         return [str(exc) if ok else _NOT_FINITE for ok in finite.tolist()]

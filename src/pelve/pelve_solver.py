@@ -49,6 +49,9 @@ class PelveResult:
     ``value`` is the finite multiplier c in [1, 1/eps], or None when the
     defining set is empty.  ``residual`` is |ES_n(1 - c*eps) - VaR(1 - eps)|
     at the returned c (zero for closed forms and for the infinite outcome).
+    ``iterations`` counts bisection steps: over [1, c_max] for the analytic
+    solve; for the empirical solve, the steps inside the root's cell between
+    two integers of c*eps*m, which is 0 for orders n <= 2 (closed form).
     """
 
     value: Optional[float]

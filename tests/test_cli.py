@@ -214,6 +214,25 @@ def test_cli_simulate_json():
     assert math.isfinite(doc["mean"])
 
 
+def test_cli_simulate_reports_failed_replicates_on_stderr():
+    # pareto:1,0.01 overflows the float range in most draws: those replicates
+    # fail, quietly as far as numpy goes, and one stderr line counts them.
+    args = ["simulate", "--dist", "pareto:1,0.01", "--replicates", "5",
+            "--length", "200", "--seed", "1"]
+    code, out, err = run_cli(args)
+    assert code == 0
+    assert "finite_count,0" in out.splitlines()
+    code, json_out, json_err = run_cli(["--format", "json"] + args)
+    assert code == 0
+    failures = json.loads(json_out)["failures"]
+    assert failures and json_err == err == (
+        f"pelve: {len(failures)} of 5 replicates failed: sample values must all be finite\n"
+    )
+    code, _, err = run_cli(["simulate", "--dist", "normal:0,1", "--replicates", "2",
+                            "--length", "50"])
+    assert code == 0 and err == ""
+
+
 def test_cli_rolling_two_row_constant_prices(tmp_path):
     f = tmp_path / "p.csv"
     f.write_text(

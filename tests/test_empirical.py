@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from pelve import (
     Exponential,
     InvalidParameter,
     LevelOutOfRange,
+    OrderOutOfRange,
     OrderedSample,
     SampleTooSmall,
     Uniform,
@@ -209,23 +211,30 @@ def test_empirical_es_between_min_and_max(raw, n, p):
 # --- batched solve ------------------------------------------------------------
 
 def _per_sample_solve(values, n, eps, c_tol):
-    # The one-sample solve the batched kernel replaces: every bisection step
-    # rebuilds the weights through es_n_weights.
+    # The one-sample bisection the exact solve replaces: every step rebuilds
+    # the weights through es_n_weights.
     s = OrderedSample(values)
     excess = s.values - empirical_var(s, 1.0 - eps)
     return _solve(lambda p: es_n_weights(s.m, n, p).weights @ excess, eps, c_tol)
 
 
 def _assert_rows_match(x, n, eps, c_tol):
+    # Infinite and c = 1 rows come from the same two checks as the bisection,
+    # bit for bit; every other root lies within the bisection's stopping
+    # width, c_tol*(c_max - 1), of its answer.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleTooSmall)
         # numpy's default sort may order -0.0 and 0.0 unlike OrderedSample's
         # stable sort; the results must not notice.
-        got = empirical_pelve_rows(np.sort(x, axis=1), n, eps, c_tol)
+        got = empirical_pelve_rows(np.sort(x, axis=1), n, eps)
         expected = [_per_sample_solve(row, n, eps, c_tol) for row in x]
     assert len(got) == len(expected)
     for j, (a, b) in enumerate(zip(got, expected)):
-        assert a == b, (j, a, b)
+        if not b.is_finite or b.iterations == 0:
+            assert a == b, (j, a, b)
+        else:
+            assert a.is_finite and abs(a.value - b.value) <= c_tol * (1.0 / eps - 1.0), (j, a, b)
+            assert a.iterations == 0 if n <= 2 else a.iterations > 0
 
 
 @st.composite
@@ -254,15 +263,6 @@ def test_batched_solve_equals_per_sample_solve(x, n, eps, c_tol):
     _assert_rows_match(x, n, eps, c_tol)
 
 
-def test_batched_solve_rows_stop_on_their_own_step():
-    # At a power-of-two c_tol the width goal is hit exactly in exact
-    # arithmetic, so rounding decides per row whether one more step runs.
-    x = np.random.Generator(np.random.PCG64(5)).standard_normal((40, 200))
-    got = empirical_pelve_rows(np.sort(x, axis=1), 2, 0.07, 2.0 ** -30)
-    assert {r.iterations for r in got} == {30, 31}
-    _assert_rows_match(x, 2, 0.07, 2.0 ** -30)
-
-
 def test_batched_solve_spans_blocks():
     assert 47 % block_rows(3000) and 47 > block_rows(3000)  # a partial last block
     x = sample(Exponential(1), 2, 47 * 3000).reshape(47, 3000)
@@ -282,6 +282,15 @@ def test_batched_solve_validates():
     with pytest.raises(InvalidParameter):
         empirical_pelve_rows(np.array([[0.0, math.inf]]), 1, 0.05)
     assert empirical_pelve_rows(np.zeros((0, 5)), 1, 0.5) == []
+    # The root search holds integers up to (m+n)^n: 150 * log2(250) > 1000.
+    # Only a row that needs it is refused; the top value of `near` sits just
+    # above five values tied at VaR-hat, which leaves its root open.
+    near = np.array([[0.0] * 94 + [1.0] * 5 + [1.0001]])
+    assert empirical_pelve_rows(near, 100, 0.05)[0].value > 1.0
+    assert empirical_pelve_rows(np.zeros((1, 100)), 150, 0.05)[0].value == 1.0
+    assert not empirical_pelve_rows(np.arange(100.0)[None, :], 150, 0.05)[0].is_finite
+    with pytest.raises(OrderOutOfRange):
+        empirical_pelve_rows(near, 150, 0.05)
 
 
 def test_batched_solve_warns_once_when_degenerate():
@@ -290,3 +299,112 @@ def test_batched_solve_warns_once_when_degenerate():
         warnings.simplefilter("always")
         empirical_pelve_rows(np.zeros((30, 10)), 2, 0.05)
     assert [w.category for w in caught] == [SampleTooSmall]
+
+
+# --- exact roots ---------------------------------------------------------------
+
+def _oracle(x, n, eps):
+    """Multiplier of the sorted sample x by a 50-digit bisection on the
+    definition: the smallest c in [1, 1/eps] with ES-hat_n(1 - c*eps) <=
+    VaR-hat(1 - eps), ES-hat_n being the distortion-weighted mean."""
+    with mpmath.workdps(50):
+        m = len(x)
+        xs = [mpmath.mpf(float(v)) for v in x]
+        var = xs[min(max(math.ceil(m * (1.0 - eps)), 1), m) - 1]
+        e = mpmath.mpf(eps)
+
+        def gap(c):
+            p = 1 - c * e
+            h = [(max(mpmath.mpf(i) / m - p, 0) / (1 - p)) ** n for i in range(m + 1)]
+            return mpmath.fsum((h[i] - h[i - 1]) * (v - var) for i, v in enumerate(xs, 1))
+
+        lo, hi = mpmath.mpf(1), 1 / e
+        if gap(hi) > 0:
+            return math.inf
+        if gap(lo) <= 0:
+            return 1.0
+        while hi - lo > hi * mpmath.mpf(10) ** -25:
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
+
+
+def _value(result):
+    return result.value if result.is_finite else math.inf
+
+
+def test_exact_solve_matches_mpmath_oracle():
+    rng = np.random.Generator(np.random.PCG64(3))
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for eps, m in ((0.05, 60), (0.13, 20), (0.3, 33), (0.1, 47)):
+            x = np.sort(rng.standard_t(4.0, m))
+            got = _value(empirical_pelve_rows(x[None, :], n, eps)[0])
+            expected = _oracle(x, n, eps)
+            assert got == expected or abs(got - expected) <= 1e-12 * expected, (n, eps, m)
+            checked += 1 < expected < math.inf
+    assert checked >= 12  # most cases have an open root
+
+
+def test_exact_solve_root_on_a_breakpoint():
+    # With x = 1..m every top gap is 1 and G = J, the count of values above
+    # VaR-hat; at order 1 the root is the integer t = c*eps*m = 2J + 1.
+    for m, eps in ((100, 0.05), (200, 0.05), (120, 0.25)):
+        x = np.arange(1.0, m + 1.0)
+        j = m - math.ceil(m * (1.0 - eps))
+        r = empirical_pelve(OrderedSample(x), 1, eps)
+        assert r.value == (2 * j + 1) / (eps * m), (m, eps, r)
+        assert r.residual <= 1e-12 * m
+
+
+def test_exact_solve_root_in_lowest_open_cell():
+    # eps*m = 2.6 and two values lie above VaR-hat = 8, so t = c*eps*m stays
+    # above 3 (below it only gaps inside the top three values count); the far
+    # fourth value puts the root in the first cell that can hold it, (3, 4].
+    x = np.array([-992.0] * 17 + [8.0, 9.0, 10.0])
+    eps = 0.13
+    for n in (1, 2, 3, 4):
+        r = empirical_pelve(OrderedSample(x), n, eps)
+        assert 3.0 < r.value * eps * x.size <= 4.0
+        expected = _oracle(x, n, eps)
+        assert abs(r.value - expected) <= 1e-13 * expected, (n, r, expected)
+    assert empirical_pelve(OrderedSample(x), 1, eps).value == pytest.approx(
+        3.003 / 2.6, rel=1e-15)
+
+
+def test_exact_solve_tied_rows_give_one():
+    tied = np.full(50, 0.37)
+    top_tied = np.concatenate((np.linspace(-3.0, 0.0, 20), np.full(30, 0.37)))
+    rows = np.stack([tied, top_tied, -tied])
+    for n in (1, 2, 3, 4):
+        for eps in (0.05, 0.1, 0.25, 0.49):
+            assert [r.value for r in empirical_pelve_rows(rows, n, eps)] == [1.0] * 3
+
+
+def test_exact_solve_row_alone_equals_row_in_block():
+    rng = np.random.Generator(np.random.PCG64(8))
+    block = np.sort(rng.standard_t(2.0, (12, 80)), axis=1)
+    block[3] = 0.37  # tied
+    block[5, -1] = 1e4  # one outlier: infinite
+    for n in (1, 2, 3, 4):
+        together = empirical_pelve_rows(block, n, 0.07)
+        assert not together[5].is_finite and together[3].value == 1.0
+        assert sum(r.is_finite and r.value > 1.0 for r in together) >= 8
+        assert empirical_pelve_rows(np.asfortranarray(block), n, 0.07) == together
+        assert empirical_pelve_rows(block[::-1], n, 0.07) == together[::-1]
+        for row, result in zip(block, together):
+            assert empirical_pelve_rows(row[None, :], n, 0.07) == [result]
+
+
+def test_exact_solve_spans_the_float_range():
+    # x_(m) - x_(1) overflows here; the solve scales each row by a power of
+    # two first, which changes no root.
+    wide = np.array([-1e308] * 50 + list(np.linspace(0.0, 1.0, 49)) + [1e308])
+    for n in (1, 2, 3):
+        r = empirical_pelve(OrderedSample(wide), n, 0.05)
+        small = empirical_pelve(OrderedSample(wide * 2.0 ** -600), n, 0.05)
+        assert 1.0 < r.value == small.value and r.iterations == small.iterations
+        assert abs(r.value - _per_sample_solve(wide, n, 0.05, 1e-9).value) <= 1e-9 * 19
