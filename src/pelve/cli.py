@@ -8,8 +8,8 @@ empirical   The same estimators from a CSV sample of prices or returns.
 simulate    Seeded replicate study of the empirical multiplier.
 rolling     Windowed multiplier series over daily returns.
 
-Global flags: --format csv|json, --ctol (bisection tolerance of
-``analytic``; the empirical solves are exact), --reltol (quadrature
+Global flags: --format csv|json, --ctol (tolerance of the bracketing
+solve of ``analytic``; the empirical solves are exact), --reltol (quadrature
 tolerance).  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Input CSV is UTF-8 with a mandatory ``date,price`` or ``date,return``
@@ -454,8 +454,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pelve", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--ctol", type=_float_checked_by(_check_c_tol), default=DEFAULT_C_TOL,
-                        help="bisection tolerance on the multiplier (analytic only; "
-                             "the empirical solves are exact)")
+                        help="tolerance of the bracketing solve for the multiplier, relative "
+                             "to its range (analytic only; the empirical solves are exact)")
     parser.add_argument("--reltol", type=_float_checked_by(_check_rel_tol), default=DEFAULT_REL_TOL,
                         help="relative tolerance of the quadrature fallback")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

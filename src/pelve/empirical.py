@@ -160,6 +160,14 @@ BLOCK_DOUBLES = 1 << 15
 # into (-1, 1); this many binary digits of exponent keep it finite.
 _MAX_EXPONENT_BITS = 1000
 
+# A row reaching this magnitude can span more than the float range, so that
+# x - VaR-hat, or a weighted sum of it, overflows; below it |x - VaR-hat| <
+# 2**1022.  The checks and the residual take such a row times _WIDE_SCALE:
+# a power of two, so it changes the sign of no sum (its only rounding is in
+# values near the underflow limit).
+_WIDE = 2.0 ** 1021
+_WIDE_SCALE = 0.125
+
 
 def block_rows(m: int) -> int:
     """Rows of length m in one block of the batched solve."""
@@ -212,6 +220,10 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> list:
 def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
     b, m = x.shape
     i_var = min(max(math.ceil(m * (1.0 - eps)), 1), m)
+    wide = np.maximum(-x[:, 0], x[:, -1]) >= _WIDE
+    if wide.any():
+        x = x.copy()  # x may be the caller's array
+        x[wide] *= _WIDE_SCALE
     excess = x - x[:, i_var - 1, None]
     # The existence check at p = 0 and the left endpoint c = 1 put every row
     # on the same level, so one weight vector serves the whole block.
@@ -231,6 +243,7 @@ def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
         value[solve] = c
         excess = x - x[:, i_var - 1, None]
         residual[solve] = np.abs(_gaps(excess, n, np.maximum(1.0 - c * eps, 0.0)))
+    residual[wide] /= _WIDE_SCALE  # back in the row's own units
     return [
         PelveResult.infinite() if inf else PelveResult.finite(c, steps, res)
         for inf, c, steps, res in zip(

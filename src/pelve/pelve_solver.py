@@ -5,14 +5,21 @@ c in [1, 1/eps] with ES_n(1 - c*eps) <= VaR(1 - eps); the result is
 infinite when no such c exists, which happens exactly when
 ES_n(0) > VaR(1 - eps).
 
-The solver is plain bisection: c -> ES_n(1 - c*eps) is continuous and
+The solver keeps a sign bracket: c -> ES_n(1 - c*eps) is continuous and
 nonincreasing in c, and nothing stronger (differentiability in particular)
-is guaranteed, so Newton-type schemes are out.  Closed-form values and the
-small-level limit for regularly varying tails are exposed alongside.
+is guaranteed, so Newton-type schemes are out.  It is the ITP method
+(interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
+2020), which needs only continuity too: each step tries the secant point of
+the bracket, moved toward the midpoint, inside a window that shrinks with
+the step count.  The bracket therefore never takes more than a fixed number
+of steps beyond bisection's, and on smooth gaps it closes superlinearly.
+Closed-form values and the small-level limit for regularly varying tails
+are exposed alongside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,9 +56,10 @@ class PelveResult:
     ``value`` is the finite multiplier c in [1, 1/eps], or None when the
     defining set is empty.  ``residual`` is |ES_n(1 - c*eps) - VaR(1 - eps)|
     at the returned c (zero for closed forms and for the infinite outcome).
-    ``iterations`` counts bisection steps: over [1, c_max] for the analytic
-    solve; for the empirical solve, the steps inside the root's cell between
-    two integers of c*eps*m, which is 0 for orders n <= 2 (closed form).
+    ``iterations`` counts bracketing steps: ITP steps over [1, c_max] for
+    the analytic solve; for the empirical solve, the bisection steps inside
+    the root's cell between two integers of c*eps*m, which is 0 for orders
+    n <= 2 (closed form).
     """
 
     value: Optional[float]
@@ -98,44 +106,105 @@ def pelve_exists(
     return es_n(dist, n, dist.level_floor, rel_tol).value <= quantile(dist, 1.0 - eps)
 
 
+# ITP constants.  The secant point moves toward the midpoint by
+# max(_ITP_K1 * (hi - lo)**2 / (c_max - 1), width_goal / 4): the second term
+# keeps the move above rounding once the bracket is small, so that a secant
+# point within a quarter of the goal of the root sends the next step across
+# it.  The window allows _ITP_SPARE steps beyond bisection's count, and
+# aims _ITP_MARGIN below its exact width: a bracket kept at exactly the
+# window's width would leave rounding in the midpoint no room, and the last
+# step could end a few ulps above the goal.
+_ITP_K1 = 0.2
+_ITP_SPARE = 3
+_ITP_MARGIN = 1.0 / 16.0
+
+
 def _solve(
     gap: Callable[[float], float],
     eps: float,
     c_tol: float,
     p_floor: float = 0.0,
 ) -> PelveResult:
-    """Existence check plus bisection on g(c) = gap(1 - c*eps) over
-    [1, (1 - p_floor)/eps], where gap(p) = ES_n(p) - VaR(1 - eps).
+    """Existence check plus an ITP bracketing solve of g(c) = gap(1 - c*eps)
+    over [1, c_max], c_max = (1 - p_floor)/eps, where
+    gap(p) = ES_n(p) - VaR(1 - eps).
 
     The multiplier is infinite when gap(p_floor) > 0.  Otherwise that same
-    evaluation is g at the right endpoint, so [1, c_max] brackets the root.
+    evaluation is g at c_max, so [1, c_max] brackets the root.  A step with
+    g > 0 moves ``lo`` and any other moves ``hi``, so the bracket always
+    holds the smallest root, also where g = 0 on a whole interval.  Each
+    step interpolates between the bracket ends, whose values are scaled
+    down the Anderson-Bjorck way while the same end stays put, truncates
+    toward the midpoint, and projects into a window around it that shrinks
+    with the step count.  The solve stops once hi - lo <= c_tol*(c_max - 1),
+    which the window guarantees after ceil(log2(1/c_tol)) + _ITP_SPARE
+    steps, and returns the secant point of the last bracket.
     """
-    if gap(p_floor) > 0.0:
+    # Gaps are taken as Python floats, whose arithmetic overflows to inf
+    # without a numpy warning.
+    g_hi = float(gap(p_floor))
+    if g_hi > 0.0:
         return PelveResult.infinite()
-    g1 = gap(1.0 - eps)
-    if g1 <= 0.0:
+    g_lo = float(gap(1.0 - eps))
+    if g_lo <= 0.0:
         # Infimum attained at the left endpoint; the equation form need not
         # hold there, so the residual is reported as-is.
-        return PelveResult.finite(1.0, iterations=0, residual=abs(g1))
+        return PelveResult.finite(1.0, iterations=0, residual=abs(g_lo))
 
     c_max = (1.0 - p_floor) / eps
 
     def g(c: float) -> float:
         # 1 - c*eps can round a hair below the floor near c = c_max; clamp it.
-        return gap(max(1.0 - c * eps, p_floor))
+        return float(gap(max(1.0 - c * eps, p_floor)))
 
     lo, hi = 1.0, c_max
     width_goal = c_tol * (c_max - 1.0)
+    steps = math.ceil(math.log2((c_max - 1.0) / width_goal)) + _ITP_SPARE
+    window = width_goal * (1.0 - _ITP_MARGIN)
+    kappa1 = _ITP_K1 / (c_max - 1.0)
+    # Interpolation weights: g_lo and -g_hi, scaled while their end stays.
+    w_lo, w_hi = g_lo, -g_hi
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
     iterations = 0
     while hi - lo > width_goal:
         mid = 0.5 * (lo + hi)
+        x = _secant(lo, hi, w_lo, w_hi)
+        delta = max(kappa1 * (hi - lo) ** 2, 0.25 * width_goal)
+        x = x + math.copysign(delta, mid - x) if delta <= abs(mid - x) else mid
+        # Project: step k (from 0) leaves a bracket at most
+        # window * 2**(steps - 1 - k) wide.
+        r = max(math.ldexp(window, steps - 1 - iterations) - 0.5 * (hi - lo), 0.0)
+        x = min(max(x, mid - r), mid + r)
         iterations += 1
-        if g(mid) > 0.0:
-            lo = mid
+        y = g(x)
+        if y > 0.0:
+            if moved > 0:
+                w_hi *= _shrink(y, g_lo)
+            lo, g_lo, w_lo, moved = x, y, y, 1
         else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+            if moved < 0:
+                w_lo *= _shrink(y, g_hi)
+            hi, g_hi, w_hi, moved = x, y, -y, -1
+    c = min(max(_secant(lo, hi, g_lo, -g_hi), lo), hi)
     return PelveResult.finite(c, iterations, abs(g(c)))
+
+
+def _secant(lo: float, hi: float, a: float, b: float) -> float:
+    # lo + (hi - lo) * a/(a + b) for weights a, b >= 0: the zero of the chord
+    # through (lo, a) and (hi, -b).  The fraction is formed from ratios no
+    # larger than 1, so weights near the float limits cannot overflow it.
+    if a >= b:
+        t = 1.0 / (1.0 + b / a) if a > 0.0 else 0.5
+    else:
+        t = a / b / (1.0 + a / b)
+    return lo + (hi - lo) * t
+
+
+def _shrink(y: float, g_end: float) -> float:
+    # Anderson-Bjorck factor for the weight of an end that stayed twice: the
+    # ratio by which the moving end's gap fell, or one half when it did not.
+    m = 1.0 - y / g_end if g_end != 0.0 else 0.0
+    return m if m > 0.0 else 0.5
 
 
 def pelve(
@@ -146,7 +215,8 @@ def pelve(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> PelveResult:
     """Equivalent-level multiplier of ``dist`` at level ``eps`` and order
-    ``n``, by existence check plus bisection."""
+    ``n``, by existence check plus a bracketing (ITP) solve to within
+    ``c_tol * (c_max - 1)`` of the root, c_max = (1 - level floor)/eps."""
     _check_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)

@@ -24,7 +24,7 @@ from pelve import (
     sample,
 )
 from pelve.empirical import block_rows
-from pelve.pelve_solver import _solve
+from pelve.pelve_solver import PelveResult
 
 
 def test_ordered_sample_sorts_and_validates():
@@ -210,12 +210,38 @@ def test_empirical_es_between_min_and_max(raw, n, p):
 
 # --- batched solve ------------------------------------------------------------
 
+def _bisect(gap, eps, c_tol):
+    # Existence check plus plain bisection of gap(1 - c*eps) over [1, 1/eps]
+    # down to a bracket of c_tol*(1/eps - 1), returning its midpoint.
+    if gap(0.0) > 0.0:
+        return PelveResult.infinite()
+    g1 = gap(1.0 - eps)
+    if g1 <= 0.0:
+        return PelveResult.finite(1.0, iterations=0, residual=abs(g1))
+    c_max = 1.0 / eps
+
+    def g(c):
+        return gap(max(1.0 - c * eps, 0.0))
+
+    lo, hi = 1.0, c_max
+    iterations = 0
+    while hi - lo > c_tol * (c_max - 1.0):
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    c = 0.5 * (lo + hi)
+    return PelveResult.finite(c, iterations, abs(g(c)))
+
+
 def _per_sample_solve(values, n, eps, c_tol):
     # The one-sample bisection the exact solve replaces: every step rebuilds
     # the weights through es_n_weights.
     s = OrderedSample(values)
     excess = s.values - empirical_var(s, 1.0 - eps)
-    return _solve(lambda p: es_n_weights(s.m, n, p).weights @ excess, eps, c_tol)
+    return _bisect(lambda p: es_n_weights(s.m, n, p).weights @ excess, eps, c_tol)
 
 
 def _assert_rows_match(x, n, eps, c_tol):
@@ -408,3 +434,24 @@ def test_exact_solve_spans_the_float_range():
         small = empirical_pelve(OrderedSample(wide * 2.0 ** -600), n, 0.05)
         assert 1.0 < r.value == small.value and r.iterations == small.iterations
         assert abs(r.value - _per_sample_solve(wide, n, 0.05, 1e-9).value) <= 1e-9 * 19
+
+
+def test_exact_solve_checks_span_the_float_range():
+    # x - VaR-hat overflows on these rows: an open root, an infinite
+    # multiplier and a top tied at VaR-hat.  The existence and c = 1 checks
+    # scale such rows by a power of two, as the root search does, and the
+    # residual comes back in the row's own units.
+    open_row = [-1.7e308] * 10 + list(np.linspace(0.5e308, 1.7e308, 90))
+    infinite = [-1.7e308] + [0.0] * 98 + [1.7e308]
+    tied = [-1.7e308] * 10 + [1.7e308] * 90
+    rows = np.array([open_row, infinite, tied])
+    for n in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = empirical_pelve_rows(rows, n, 0.05)
+        small = empirical_pelve_rows(rows * 2.0 ** -10, n, 0.05)
+        assert [r.value for r in got] == [r.value for r in small]
+        assert got[0].value > 1.0 and not got[1].is_finite and got[2].value == 1.0
+        for r, s in zip(got, small):
+            assert math.isfinite(r.residual) and r.residual == s.residual * 2.0 ** 10
+    assert empirical_pelve_rows(rows[:1], 2, 0.05)[0].value == pytest.approx(3.2939338, rel=1e-7)

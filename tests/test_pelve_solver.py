@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from pelve import (
@@ -23,6 +25,7 @@ from pelve import (
     quantile,
     tail_quantile,
 )
+from pelve.pelve_solver import _ITP_SPARE, _solve
 
 E32 = math.exp(1.5)
 
@@ -224,3 +227,123 @@ def test_karamata_ratio():
     assert karamata_ratio(-0.9, 0.05) == pytest.approx(10.0, rel=1e-9)
     with pytest.raises(KappaOutOfRange):
         karamata_ratio(-1.0, 0.1)
+
+
+# --- the bracketing solve --------------------------------------------------------
+
+def _in_c(shape, eps):
+    # gap(p) of _solve for a gap given as a function of the multiplier c,
+    # counting its evaluations.
+    calls = []
+
+    def gap(p):
+        calls.append(p)
+        return shape((1.0 - p) / eps)
+
+    return gap, calls
+
+
+def _max_steps(c_max, c_tol):
+    return math.ceil(math.log2((c_max - 1.0) / (c_tol * (c_max - 1.0)))) + _ITP_SPARE
+
+
+def _synthetic_gaps(root):
+    # Continuous and nonincreasing in c, each with its only root at `root`.
+    kink = 0.5 * (1.0 + root)
+    return {
+        "convex": lambda c: math.exp(-3.0 * (c - 1.0)) - math.exp(-3.0 * (root - 1.0)),
+        "heavy": lambda c: c ** -4.0 - root ** -4.0,
+        "concave": lambda c: (root - 1.0) ** 2 - (c - 1.0) ** 2,
+        "steep then flat": lambda c: (root - c) * (100.0 if c < root else 0.01),
+        "flat then steep": lambda c: (root - c) * (0.01 if c < root else 100.0),
+        "kink off the root": lambda c: root - c + (50.0 * (kink - c) if c < kink else 0.0),
+        "near step": lambda c: -math.tanh((c - root) * 1e9),
+    }
+
+
+@pytest.mark.parametrize("eps, p_floor", [(0.05, 0.0), (0.3, 0.0), (0.01, 0.0), (0.9, 0.0), (0.05, 0.4)])
+@pytest.mark.parametrize("c_tol", [1e-12, 3e-11, 1e-9, 2.0 ** -30, 1e-6, 1e-3])
+def test_solve_steps_stay_within_the_itp_bound(eps, p_floor, c_tol):
+    c_max = (1.0 - p_floor) / eps
+    width_goal = c_tol * (c_max - 1.0)
+    # Rounding in p = 1 - c*eps moves c by about an ulp of 1/eps.
+    slack = 4.0 * np.spacing(1.0 / eps)
+    for root in (1.0 + f * (c_max - 1.0) for f in (1e-7, 0.03, 0.37, 1.0 - 1e-9)):
+        for name, shape in _synthetic_gaps(root).items():
+            gap, calls = _in_c(shape, eps)
+            r = _solve(gap, eps, c_tol, p_floor)
+            assert r.iterations <= _max_steps(c_max, c_tol), (name, root)
+            assert abs(r.value - root) <= width_goal + slack, (name, root, r)
+            if name in ("convex", "heavy") and c_tol <= 1e-6:
+                # On a smooth gap and a narrow bracket the secant point of
+                # the last bracket lies far closer to the root than the
+                # bracket is wide.
+                assert abs(r.value - root) <= 1e-3 * width_goal + slack, (name, root, r)
+            # gap(p_floor) serves as g(c_max): two checks, the steps and the
+            # residual, and no other evaluation.
+            assert len(calls) == r.iterations + 3, (name, root)
+
+
+@pytest.mark.parametrize("c_tol", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_solve_returns_the_left_end_of_a_zero_plateau(c_tol):
+    # g = 0 on all of [root, c_max]: the smallest such c is the multiplier.
+    eps = 0.05
+    c_max = 1.0 / eps
+    for root in (1.0 + 1e-6, 2.0, 7.3, 19.5):
+        plateaus = {
+            "linear": lambda c: max(root - c, 0.0),
+            "tangent": lambda c: max(root - c, 0.0) ** 2,
+            "tiny": lambda c: 1e-300 * max(root - c, 0.0),
+            "least float": lambda c: 5e-324 if c < root else 0.0,
+            "steep": lambda c: 1e6 * max(root - c, 0.0),
+        }
+        for name, shape in plateaus.items():
+            r = _solve(_in_c(shape, eps)[0], eps, c_tol)
+            assert r.iterations <= _max_steps(c_max, c_tol), (name, root)
+            assert abs(r.value - root) <= c_tol * (c_max - 1.0) + 1e-14, (name, root, r)
+
+
+def test_solve_gaps_near_the_float_limits_raise_no_warning():
+    big, tiny = 1.7e308, 5e-324
+    eps = 0.05
+    c_max = 1.0 / eps
+    for root in (1.5, 11.0):
+        shapes = {
+            "line": lambda c: big * (1.0 - 2.0 * (c - 1.0) / (c_max - 1.0)),
+            "steep": lambda c: big * math.tanh((root - c) * 1e3),
+            "lopsided": lambda c: tiny if c < root else -big * math.tanh(c - root),
+            "numpy": lambda c: np.float64(big) * np.tanh(np.float64(root - c)),
+        }
+        for name, shape in shapes.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = _solve(_in_c(shape, eps)[0], eps, 1e-9)
+            expected = 10.5 if name == "line" else root
+            assert abs(r.value - expected) <= 1e-9 * (c_max - 1.0) + 1e-14, (name, r)
+            assert r.iterations <= _max_steps(c_max, 1e-9)
+
+
+def test_pelve_quadrature_solves_take_few_steps():
+    # The analytic-quad benchmark cases: no closed form, so every step is a
+    # graded quadrature; bisection took 30 steps on each.
+    for dist in (Normal(0, 1), GeneralizedPareto(0.5, 1), ExcessGPD(1, 0.3, 1, 0)):
+        assert pelve(dist, 3, 0.05).iterations <= 12, dist
+
+
+def test_pelve_steps_stay_far_below_bisection():
+    # Gaps on which ITP without the Anderson-Bjorck weights or without the
+    # floor on its truncation uses up its spare steps and ends in bisection
+    # (about 30 steps): convex gaps that keep the c = 1 end for many steps,
+    # and secant points that land on an exact zero of the gap.
+    cases = [
+        (Pareto(1, 1.5), 1, 0.05),
+        (Pareto(1, 1.5), 4, 0.01),
+        (Pareto(1, 3), 2, 0.01),
+        (GeneralizedPareto(0.8, 1), 1, 0.01),
+        (GeneralizedPareto(0.5, 1), 1, 0.2),
+        (Exponential(1), 1, 0.2),
+        (Uniform(0, 1), 2, 0.1),
+        (Normal(0, 1), 4, 0.01),
+    ]
+    for dist, n, eps in cases:
+        assert pelve(dist, n, eps).iterations <= 14, (dist, n, eps)
