@@ -27,7 +27,6 @@ from .empirical import (
 )
 from .errors import (
     AlphaOutOfRange,
-    BracketFailure,
     ExcessGPDBelowThreshold,
     ExcessGPDLevelBelowBase,
     InvalidParameter,
@@ -91,7 +90,7 @@ __all__ = [
     # errors
     "PelveError", "LevelOutOfRange", "OrderOutOfRange", "InvalidParameter",
     "ExcessGPDBelowThreshold", "ExcessGPDLevelBelowBase", "NoClosedForm",
-    "QuadratureNonConvergence", "QuantileOverflow", "BracketFailure", "AlphaOutOfRange",
+    "QuadratureNonConvergence", "QuantileOverflow", "AlphaOutOfRange",
     "KappaOutOfRange", "NoFiniteEstimates", "MalformedCsv",
     "NonPositivePrice", "NonMonotoneDates", "SampleTooSmall",
 ]

@@ -32,7 +32,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Optional
 
@@ -211,20 +211,21 @@ def _pelve_cell(result: PelveResult) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_dist(text: str) -> DistributionModel:
-    makers = {
-        "uniform": (2, lambda a, b: Uniform(a, b)),
-        "exp": (1, lambda rate: Exponential(rate)),
-        "normal": (2, lambda m, s: Normal(m, s)),
-        "pareto": (2, lambda k, a: Pareto(k, a)),
-        "gpd": (2, lambda k, b: GeneralizedPareto(k, b)),
-        "excessgpd": (4, lambda u, k, b, fu: ExcessGPD(u, k, b, fu)),
+    families = {
+        "uniform": Uniform,
+        "exp": Exponential,
+        "normal": Normal,
+        "pareto": Pareto,
+        "gpd": GeneralizedPareto,
+        "excessgpd": ExcessGPD,
     }
     name, _, params = text.partition(":")
-    if name not in makers:
+    if name not in families:
         raise argparse.ArgumentTypeError(
-            f"unknown distribution {name!r}; expected one of {sorted(makers)}"
+            f"unknown distribution {name!r}; expected one of {sorted(families)}"
         )
-    arity, make = makers[name]
+    family = families[name]
+    arity = len(fields(family))
     try:
         values = [float(tok) for tok in params.split(",")] if params else []
     except ValueError:
@@ -234,7 +235,7 @@ def _parse_dist(text: str) -> DistributionModel:
             f"{name} takes {arity} parameters, got {len(values)}"
         )
     try:
-        return make(*values)
+        return family(*values)
     except PelveError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

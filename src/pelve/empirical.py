@@ -46,6 +46,8 @@ __all__ = [
     "is_degenerate",
 ]
 
+_NOT_FINITE = "sample values must all be finite"
+
 
 class OrderedSample:
     """Immutable ascending-sorted view of a raw sample of length m >= 1."""
@@ -55,7 +57,7 @@ class OrderedSample:
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidParameter("sample must be a non-empty 1-d array")
         if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("sample values must all be finite")
+            raise InvalidParameter(_NOT_FINITE)
         arr.flags.writeable = False
         self._values = arr
 
@@ -94,29 +96,35 @@ def empirical_var(sample: OrderedSample, p: float) -> float:
     """Empirical VaR: the i-th order statistic for p in ((i-1)/m, i/m]."""
     if not 0.0 < p < 1.0:
         raise LevelOutOfRange(f"level must lie in (0, 1), got {p}")
-    m = sample.m
-    i = min(max(math.ceil(m * p), 1), m)
-    return float(sample.values[i - 1])
+    return float(sample.values[_var_index(sample.m, p) - 1])
+
+
+def _var_index(m: int, p: float) -> int:
+    # 1-based index i of the order statistic with p in ((i-1)/m, i/m].
+    return min(max(math.ceil(m * p), 1), m)
 
 
 def es_n_weights(m: int, n: int, p: float) -> WeightVector:
     """Distortion-increment weights of the empirical n-th-order Expected
     Shortfall: w_i = h_p(min(i/m,1)) - h_p(max((i-1)/m, p)) with
-    h_p(s) = ((s-p)/(1-p))^n on [p, 1] and 0 below p."""
+    h_p(s) = ((s-p)/(1-p))^n on [p, 1] and 0 below p.  For
+    p >= (m-1)/m all the mass falls in the top cell, exactly."""
     _check_order(n)
     if not 0.0 <= p < 1.0:
         raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
-    w = np.zeros(m)
-    if p >= (m - 1) / m:
-        # The whole kernel mass sits in the top cell; exact by convention.
-        w[-1] = 1.0
-        return WeightVector(w)
-    grid = np.arange(m + 1) / m
-    h = (np.clip(grid - p, 0.0, None) / (1.0 - p)) ** n
-    np.subtract(h[1:], h[:-1], out=w)
-    return WeightVector(w)
+    return WeightVector(_increments(m, n, p))
+
+
+def _increments(m: int, n: int, p) -> np.ndarray:
+    # h_p(i/m) - h_p((i-1)/m) for i = 1..m, with p a float (one row) or a
+    # (B, 1) column of levels (one row each).
+    h = np.subtract(np.arange(m + 1) / m, p)
+    np.maximum(h, 0.0, out=h)
+    h /= 1.0 - p
+    h **= n
+    return h[..., 1:] - h[..., :-1]
 
 
 def empirical_es_n(sample: OrderedSample, n: int, p: float) -> float:
@@ -201,7 +209,7 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> list:
             f"rows must form a (B, m) matrix with m >= 1, got shape {rows.shape}"
         )
     if not np.isfinite(rows).all():
-        raise InvalidParameter("sample values must all be finite")
+        raise InvalidParameter(_NOT_FINITE)
     m = rows.shape[1]
     if is_degenerate(m, eps):
         warnings.warn(
@@ -219,7 +227,7 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> list:
 
 def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
     b, m = x.shape
-    i_var = min(max(math.ceil(m * (1.0 - eps)), 1), m)
+    i_var = _var_index(m, 1.0 - eps)
     wide = np.maximum(-x[:, 0], x[:, -1]) >= _WIDE
     if wide.any():
         x = x.copy()  # x may be the caller's array
@@ -242,7 +250,8 @@ def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
         c, iterations[solve] = _roots(x, n, eps, m - i_var)
         value[solve] = c
         excess = x - x[:, i_var - 1, None]
-        residual[solve] = np.abs(_gaps(excess, n, np.maximum(1.0 - c * eps, 0.0)))
+        levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
+        residual[solve] = np.abs(_row_dots(_increments(m, n, levels), excess))
     residual[wide] /= _WIDE_SCALE  # back in the row's own units
     return [
         PelveResult.infinite() if inf else PelveResult.finite(c, steps, res)
@@ -256,20 +265,6 @@ def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:
     # w[j] @ excess[j] for every row j (one w broadcasts), each a BLAS ddot
     # exactly as in a one-row ``w @ excess``.
     return np.matmul(w[..., None, :], excess[:, :, None])[:, 0, 0]
-
-
-def _gaps(excess: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    # es_n_weights(m, n, p[j]).weights @ excess[j] for every row j, by the
-    # same floating-point operations.  `h **= n` rebinds h to itself; unlike
-    # np.power it takes numpy's fast path for n = 2, as the `** n` in
-    # es_n_weights does.  es_n_weights' top-cell case needs no branch: for
-    # p >= (m-1)/m the formula gives its one-hot weights exactly.
-    m = excess.shape[1]
-    h = np.subtract(np.arange(m + 1) / m, p[:, None])
-    np.maximum(h, 0.0, out=h)
-    h /= (1.0 - p)[:, None]
-    h **= n
-    return _row_dots(h[:, 1:] - h[:, :-1], excess)
 
 
 def _eulerian(n: int) -> list:

@@ -41,12 +41,6 @@ class QuadratureNonConvergence(PelveError):
     Usually signals a quantile function without a finite first moment."""
 
 
-class BracketFailure(PelveError):
-    """Root bracketing failed although the existence check passed.  The
-    solver now reuses the existence check as its bracket, so the package no
-    longer raises this; the class stays for existing ``except`` clauses."""
-
-
 class AlphaOutOfRange(PelveError):
     """Tail index must exceed 1."""
 

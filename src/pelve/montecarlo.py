@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionModel, sample
-from .empirical import block_rows, empirical_pelve_rows
+from .empirical import _NOT_FINITE, block_rows, empirical_pelve_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
 from .errors import InvalidParameter, NoFiniteEstimates, PelveError
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _DEFAULT_BINS = 30
-_NOT_FINITE = "sample values must all be finite"
 
 
 def replicate_seed(seed: int, r: int) -> int:

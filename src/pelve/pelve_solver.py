@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .distributions import DistributionModel, quantile
 from .errors import AlphaOutOfRange, InvalidParameter, KappaOutOfRange, LevelOutOfRange
 from .risk_measures import (
-    _GL_NODES,
     _GL_WEIGHTS,
     DEFAULT_REL_TOL,
+    _panel_nodes,
     es_n,
     es_n_quadrature,
 )
@@ -138,7 +136,9 @@ def _solve(
     toward the midpoint, and projects into a window around it that shrinks
     with the step count.  The solve stops once hi - lo <= c_tol*(c_max - 1),
     which the window guarantees after ceil(log2(1/c_tol)) + _ITP_SPARE
-    steps, and returns the secant point of the last bracket.
+    steps, or once no double lies strictly between lo and hi, where that
+    goal is below the float spacing; it returns the secant point of the
+    last bracket.
     """
     # Gaps are taken as Python floats, whose arithmetic overflows to inf
     # without a numpy warning.
@@ -166,7 +166,7 @@ def _solve(
     w_lo, w_hi = g_lo, -g_hi
     moved = 0  # +1 when the last step moved lo, -1 when it moved hi
     iterations = 0
-    while hi - lo > width_goal:
+    while hi - lo > width_goal and math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         x = _secant(lo, hi, w_lo, w_hi)
         delta = max(kappa1 * (hi - lo) ** 2, 0.25 * width_goal)
@@ -279,10 +279,7 @@ def _power_integral(kappa: float, eps: float, levels: int) -> float:
     # integral(0..eps) v^kappa dv on panels [eps*2^-(j+1), eps*2^-j] plus a
     # closing panel [0, eps*2^-levels].  Grading toward 0 works arbitrarily
     # deep because doubles stay dense near 0, unlike near 1.
-    hi = eps * 2.0 ** -np.arange(levels + 1)
-    lo = np.concatenate((hi[1:], [0.0]))
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes, half = _panel_nodes(0.0, eps, levels)
     return float(((nodes ** kappa) @ _GL_WEIGHTS * half).sum())
 
 

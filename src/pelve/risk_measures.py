@@ -11,9 +11,13 @@ the normal at orders 1 and 2, and for generalized-Pareto-type models
 ``es_closed``.  Everything else goes through composite Gauss-Legendre
 quadrature with geometric panel grading toward both ends of the
 integration interval, which resolves the integrable endpoint singularities
-of heavy-tailed quantile functions.  ``es_n`` hands each half's nodes to
-the family's quantile as one array; ``es_n_quadrature`` keeps a
-one-float-at-a-time contract for arbitrary quantile callables.
+of heavy-tailed quantile functions.  The quadrature takes two callables:
+the quantile, for the lower half in the level s, and the tail quantile
+t -> Q(1 - t), for the upper half in t = 1 - s.  ``es_n`` hands each half's
+nodes to the family's ``quantile`` and ``tail_quantile`` as one array;
+``es_n_quadrature`` keeps a one-float-at-a-time contract for arbitrary
+quantile callables, and without a tail callable evaluates the quantile at
+1 - t, lowered to the largest double below 1 where that rounds to 1.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _NODE_BUDGET = 2 ** 20
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -115,7 +120,11 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise InvalidParameter(f"rel_tol must lie in [1e-14, 1e-2], got {rel_tol}")
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(offset: float, width: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre nodes, one row per panel, and the panels' half-widths,
+    # on [offset, offset + width] graded geometrically toward offset: edges
+    # offset + width*2^-k for k = levels..0, plus a closing panel from offset.
+    edges = np.concatenate(([offset], offset + width * 2.0 ** -np.arange(levels, -1.0, -1)))
     lo, hi = edges[:-1], edges[1:]
     keep = hi > lo  # deep grading can underflow to zero-width panels
     lo, hi = lo[keep], hi[keep]
@@ -124,44 +133,44 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, half
 
 
+def _panel_sums(
+    values: np.ndarray, dist: np.ndarray, n: int, scale: float, half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Per-panel Gauss-Legendre sums of k*Q and k*|Q| under the ES_n kernel
+    # k = n*(s - p)^(n-1)/(1 - p)^n, for nodes at distance dist = s - p from
+    # p and scale = (1 - p)^n.
+    weight = n * dist ** (n - 1) / scale
+    return (weight * values) @ _GL_WEIGHTS * half, (weight * np.abs(values)) @ _GL_WEIGHTS * half
+
+
 # Overflow to inf in a node array is not an error here: a non-finite total
 # ends in QuadratureNonConvergence.
 @np.errstate(over="ignore")
 def _integrate(
     quantile_fn: Callable[[np.ndarray], np.ndarray],
+    tail_quantile_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
     p: float,
     levels: int,
-    tail_quantile_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float, float, int]:
     # The integral over (p, 1) is split at the midpoint.  The lower half is
     # handled in the level variable s with geometric grading toward p.  The
     # upper half is handled in the tail variable t = 1 - s with grading
     # toward t = 0: doubles are dense near 0 but not near 1, and heavy
     # tails need panels far below the float spacing at 1.  Each half's
-    # nodes go to the quantile callable as one array.
+    # nodes go to its callable as one array.
     mid = 0.5 * (p + 1.0)
     scale = (1.0 - p) ** n
 
-    s_edges = np.concatenate(([p], p + (mid - p) * 2.0 ** -np.arange(levels, -1.0, -1)))
-    s_nodes, s_half = _panel_nodes(s_edges)
+    s_nodes, s_half = _panel_nodes(p, mid - p, levels)
     np.clip(s_nodes, np.nextafter(p, 1.0), None, out=s_nodes)
-    s_vals = quantile_fn(s_nodes)
-    s_weight = n * (s_nodes - p) ** (n - 1) / scale
-    s_contrib = (s_weight * s_vals) @ _GL_WEIGHTS * s_half
-    s_abs = (s_weight * np.abs(s_vals)) @ _GL_WEIGHTS * s_half
+    s_sum, s_abs = _panel_sums(quantile_fn(s_nodes), s_nodes - p, n, scale, s_half)
+    t_nodes, t_half = _panel_nodes(0.0, 1.0 - mid, levels)
+    t_sum, t_abs = _panel_sums(
+        tail_quantile_fn(t_nodes), (1.0 - p) - t_nodes, n, scale, t_half
+    )
 
-    t_edges = np.concatenate(([0.0], (1.0 - mid) * 2.0 ** -np.arange(levels, -1.0, -1)))
-    t_nodes, t_half = _panel_nodes(t_edges)
-    if tail_quantile_fn is not None:
-        t_vals = tail_quantile_fn(t_nodes)
-    else:
-        t_vals = quantile_fn(np.minimum(1.0 - t_nodes, np.nextafter(1.0, 0.0)))
-    t_weight = n * ((1.0 - p) - t_nodes) ** (n - 1) / scale
-    t_contrib = (t_weight * t_vals) @ _GL_WEIGHTS * t_half
-    t_abs = (t_weight * np.abs(t_vals)) @ _GL_WEIGHTS * t_half
-
-    total = float(s_contrib.sum() + t_contrib.sum())
+    total = float(s_sum.sum() + t_sum.sum())
     abs_total = float(s_abs.sum() + t_abs.sum())
     # Largest end-panel share flags slow (or no) endpoint convergence.
     edge_share = max(float(s_abs[0]), float(t_abs[0]))
@@ -175,23 +184,21 @@ def _per_node(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray
 
 def _quadrature(
     quantile_fn: Callable[[np.ndarray], np.ndarray],
+    tail_quantile_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
     p: float,
     rel_tol: float,
-    tail_quantile_fn: Callable[[np.ndarray], np.ndarray] | None,
 ) -> EsResult:
     _check_order(n)
     _check_tail_level(p)
     _check_rel_tol(rel_tol)
 
-    levels = 16
-    prev, _, _, used = _integrate(quantile_fn, n, p, levels, tail_quantile_fn)
     edge_tol = math.sqrt(rel_tol)
+    levels, prev, used = 16, None, 0
     while True:
-        levels *= 2
         try:
             cur, cur_abs, edge_share, spent = _integrate(
-                quantile_fn, n, p, levels, tail_quantile_fn
+                quantile_fn, tail_quantile_fn, n, p, levels
             )
         except OverflowError:
             raise QuadratureNonConvergence(
@@ -199,19 +206,21 @@ def _quadrature(
                 "may lack a finite first moment on (p, 1)"
             ) from None
         used += spent
-        err = abs(cur - prev)
-        scale = max(abs(cur), cur_abs, 1e-300)
-        # The end-panel check rejects false agreement between refinements
-        # when mass keeps piling up at an endpoint (divergent integrand).
-        converged = err <= rel_tol * scale and edge_share <= edge_tol * scale
-        if math.isfinite(cur) and converged:
-            return EsResult(cur, EsMethod.QUADRATURE, err)
-        if used > _NODE_BUDGET or not math.isfinite(cur):
-            raise QuadratureNonConvergence(
-                "node budget exhausted; the quantile function may lack a "
-                "finite first moment on (p, 1)"
-            )
-        prev = cur
+        if prev is not None:
+            err = abs(cur - prev)
+            scale = max(abs(cur), cur_abs, 1e-300)
+            # The end-panel check rejects false agreement between
+            # refinements when mass keeps piling up at an endpoint
+            # (divergent integrand).
+            converged = err <= rel_tol * scale and edge_share <= edge_tol * scale
+            if math.isfinite(cur) and converged:
+                return EsResult(cur, EsMethod.QUADRATURE, err)
+            if used > _NODE_BUDGET or not math.isfinite(cur):
+                raise QuadratureNonConvergence(
+                    "node budget exhausted; the quantile function may lack a "
+                    "finite first moment on (p, 1)"
+                )
+        prev, levels = cur, 2 * levels
 
 
 def es_n_quadrature(
@@ -232,15 +241,15 @@ def es_n_quadrature(
     ``quantile_fn`` takes one float level at a time.  ``tail_quantile_fn(t)``,
     when supplied, evaluates the quantile at level 1 - t directly; heavy
     tails then resolve below the double-precision spacing at 1, which
-    ``quantile_fn(1 - t)`` cannot reach.
+    ``quantile_fn(1 - t)`` cannot reach.  Without it the upper half of the
+    integral calls ``quantile_fn(1 - t)``, with levels that round to 1
+    lowered to the largest double below 1.
     """
-    return _quadrature(
-        _per_node(quantile_fn),
-        n,
-        p,
-        rel_tol,
-        None if tail_quantile_fn is None else _per_node(tail_quantile_fn),
-    )
+    if tail_quantile_fn is None:
+        def tail_quantile_fn(t: float) -> float:
+            return quantile_fn(min(1.0 - t, _BELOW_ONE))
+
+    return _quadrature(_per_node(quantile_fn), _per_node(tail_quantile_fn), n, p, rel_tol)
 
 
 def es_n(
@@ -257,10 +266,10 @@ def es_n(
     except NoClosedForm:
         return _quadrature(
             lambda s: quantile(dist, s),
+            lambda t: tail_quantile(dist, t),
             n,
             p,
             rel_tol,
-            lambda t: tail_quantile(dist, t),
         )
 
 

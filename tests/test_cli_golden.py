@@ -1,0 +1,100 @@
+"""The CLI's stdout, stderr and exit code, byte for byte, against stored
+copies in tests/data/golden/.
+
+Each case runs the command line in a fresh interpreter on this checkout's
+``src``, so warnings and anything else the process writes count too.  The
+stored copies are rewritten with ``python tests/test_cli_golden.py``; a
+change that alters them must say why.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# "{returns_600}" stands for tests/data/returns_600.csv and "{returns_60}"
+# for its header plus first 60 rows, made afresh in a temporary directory.
+_ANALYTIC = [
+    ("normal:0,1", 3), ("gpd:0.5,1", 3), ("excessgpd:1,0.3,1,0", 3),
+    ("uniform:0,1", 4), ("exp:1", 3), ("normal:0,1", 2), ("pareto:1,3", 2),
+    ("gpd:0.3,1", 2), ("excessgpd:1,0.3,1,0.4", 3),
+]
+CASES = {
+    **{
+        f"analytic-{dist.replace(':', '-').replace(',', '_')}-n{n}":
+            ["analytic", "--dist", dist, "--order", str(n), "--epsilon", "0.05"]
+        for dist, n in _ANALYTIC
+    },
+    "analytic-json-closed": ["--format", "json", "analytic", "--dist", "normal:0,1",
+                             "--order", "2"],
+    "analytic-json-quadrature": ["--format", "json", "analytic", "--dist", "gpd:0.5,1",
+                                 "--order", "3"],
+    "analytic-overflow": ["analytic", "--dist", "pareto:1,0.003"],
+    "analytic-bad-arity": ["analytic", "--dist", "excessgpd:1,0.3,1"],
+    "analytic-bad-family": ["analytic", "--dist", "lognormal:0,1"],
+    "empirical-n3": ["empirical", "--input", "{returns_600}", "--kind", "returns",
+                     "--order", "3"],
+    "empirical-json-n2": ["--format", "json", "empirical", "--input", "{returns_600}",
+                          "--kind", "returns", "--order", "2", "--negate"],
+    "rolling-csv": ["rolling", "--input", "{returns_60}", "--kind", "returns",
+                    "--window", "20", "--orders", "1,2,3"],
+    "rolling-json": ["--format", "json", "rolling", "--input", "{returns_60}",
+                     "--kind", "returns", "--window", "20", "--orders", "1,2,3"],
+    "simulate-normal": ["simulate", "--dist", "normal:0,1", "--replicates", "20",
+                        "--length", "400", "--seed", "3", "--bins", "5"],
+    "simulate-pareto-failures": ["simulate", "--dist", "pareto:1,0.01", "--replicates",
+                                 "5", "--length", "200", "--seed", "1"],
+}
+
+
+def _inputs(tmp: Path) -> dict:
+    lines = (DATA / "returns_600.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    short = tmp / "returns_60.csv"
+    short.write_text("".join(lines[:61]), encoding="utf-8")
+    return {"returns_600": str(DATA / "returns_600.csv"), "returns_60": str(short)}
+
+
+def _run(argv: list, inputs: dict) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from pelve.cli import entrypoint; entrypoint()",
+         *(arg.format(**inputs) for arg in argv)],
+        capture_output=True, env=env, check=False,
+    )
+    return {
+        "exit": proc.returncode,
+        "stdout": proc.stdout.decode("utf-8"),
+        "stderr": proc.stderr.decode("utf-8"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert expected["argv"] == CASES[name]
+    got = _run(CASES[name], _inputs(tmp_path))
+    assert got["exit"] == expected["exit"]
+    assert got["stderr"] == expected["stderr"]
+    assert got["stdout"] == expected["stdout"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = _inputs(Path(tmp))
+        for name, argv in CASES.items():
+            record = {"argv": argv, **_run(argv, inputs)}
+            (GOLDEN / f"{name}.json").write_text(
+                json.dumps(record, indent=1) + "\n", encoding="utf-8"
+            )

@@ -14,7 +14,9 @@ from pelve import (
     NoClosedForm,
     Normal,
     Pareto,
+    QuadratureNonConvergence,
     Uniform,
+    es_n_quadrature,
     harmonic_number,
     karamata_ratio,
     pelve,
@@ -321,6 +323,35 @@ def test_solve_gaps_near_the_float_limits_raise_no_warning():
             expected = 10.5 if name == "line" else root
             assert abs(r.value - expected) <= 1e-9 * (c_max - 1.0) + 1e-14, (name, r)
             assert r.iterations <= _max_steps(c_max, 1e-9)
+
+
+def test_pelve_from_quantile_ends_below_the_float_spacing(monkeypatch):
+    # At eps = 0.9999 and c_tol = 1e-12 the goal c_tol*(c_max - 1) = 1e-16 is
+    # below the spacing of doubles near c_max = 1.0001, so the bracket's ends
+    # become neighbouring doubles before its width reaches the goal.
+    import pelve.pelve_solver as solver
+
+    def q(s):
+        return s if s >= 1e-5 else s - 1e6 * (1e-5 - s) / 1e-5
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 300:
+            raise RuntimeError("the solve does not end")
+        return es_n_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "es_n_quadrature", counted)
+    coarse = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-9, rel_tol=1e-6)
+    fine = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-12, rel_tol=1e-6)
+    assert 1.0 < fine.value < 1.0 / 0.9999
+    assert abs(fine.value - coarse.value) <= 1e-9 * (1.0 / 0.9999 - 1.0)
+
+
+def test_pelve_from_quantile_overflow_is_typed():
+    with pytest.raises(QuadratureNonConvergence):
+        pelve_from_quantile(lambda s: (1 - s) ** -300.0, 1, 0.5)
 
 
 def test_pelve_quadrature_solves_take_few_steps():

@@ -126,6 +126,13 @@ def test_quadrature_flags_nonintegrable_tails():
             es_n(Pareto(1, alpha), 1, 0.5)
 
 
+def test_quadrature_overflow_in_the_first_refinement_is_typed():
+    # Python's float ** raises OverflowError at the first refinement's
+    # nodes already.
+    with pytest.raises(QuadratureNonConvergence):
+        es_n_quadrature(lambda s: (1 - s) ** -300.0, 1, 0.5)
+
+
 @pytest.mark.parametrize("dist", CLOSED_FAMILIES, ids=repr)
 def test_closed_vs_quadrature_agreement(dist):
     # 1e-8 relative agreement wherever a closed form exists
