@@ -195,15 +195,10 @@ def rolling_pelve(series: ReturnSeries, cfg: RollingConfig):
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    # repr of a float is the shortest string that round-trips exactly.
-    if isinstance(x, float):
-        return "inf" if math.isinf(x) else repr(x)
-    return str(x)
-
-
-def _pelve_cell(result: PelveResult) -> str:
-    return _fmt(result.value) if result.is_finite else "inf"
+def _pelve_cell(result: PelveResult) -> float:
+    # csv.writer writes a float as its repr, the shortest string that
+    # round-trips exactly; inf prints as ``inf``.
+    return result.value if result.is_finite else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +272,8 @@ def _cmd_analytic(args, out, err) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["metric", "level", "value"])
         for m, lvl, v in rows:
-            writer.writerow([m, _fmt(lvl), _fmt(v)])
-        writer.writerow([f"pelve_{n}", _fmt(eps), _pelve_cell(result)])
+            writer.writerow([m, lvl, v])
+        writer.writerow([f"pelve_{n}", eps, _pelve_cell(result)])
     return 0
 
 
@@ -317,8 +312,8 @@ def _cmd_empirical(args, out, err) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["metric", "value"])
         writer.writerow(["m", sample.m])
-        writer.writerow(["var", _fmt(var_hat)])
-        writer.writerow([f"es_{n}", _fmt(es_hat)])
+        writer.writerow(["var", var_hat])
+        writer.writerow([f"es_{n}", es_hat])
         writer.writerow([f"pelve_{n}", _pelve_cell(result)])
         writer.writerow(["degenerate", str(degenerate).lower()])
     return 0
@@ -360,12 +355,12 @@ def _cmd_simulate(args, out, err) -> int:
         writer.writerow(["metric", "value"])
         writer.writerow(["replicates", cfg.replicates])
         writer.writerow(["finite_count", res.finite_count])
-        writer.writerow(["mean", _fmt(res.mean)])
-        writer.writerow(["stddev", _fmt(res.stddev)])
+        writer.writerow(["mean", res.mean])
+        writer.writerow(["stddev", res.stddev])
         writer.writerow([])
         writer.writerow(["bin_low", "bin_high", "count"])
         for lo, hi, c in hist:
-            writer.writerow([_fmt(lo), _fmt(hi), c])
+            writer.writerow([lo, hi, c])
     return 0
 
 

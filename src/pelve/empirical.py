@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .pelve_solver import PelveResult, _check_eps
 
 __all__ = [
     "OrderedSample",
-    "WeightVector",
     "empirical_var",
     "es_n_weights",
     "empirical_es_n",
@@ -76,22 +74,6 @@ class OrderedSample:
         return f"OrderedSample(m={self.m})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative weights over an ordered sample, summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-
 def empirical_var(sample: OrderedSample, p: float) -> float:
     """Empirical VaR: the i-th order statistic for p in ((i-1)/m, i/m]."""
     if not 0.0 < p < 1.0:
@@ -104,9 +86,10 @@ def _var_index(m: int, p: float) -> int:
     return min(max(math.ceil(m * p), 1), m)
 
 
-def es_n_weights(m: int, n: int, p: float) -> WeightVector:
+def es_n_weights(m: int, n: int, p: float) -> np.ndarray:
     """Distortion-increment weights of the empirical n-th-order Expected
-    Shortfall: w_i = h_p(min(i/m,1)) - h_p(max((i-1)/m, p)) with
+    Shortfall, as a read-only array of m nonnegative values summing to one:
+    w_i = h_p(min(i/m,1)) - h_p(max((i-1)/m, p)) with
     h_p(s) = ((s-p)/(1-p))^n on [p, 1] and 0 below p.  For
     p >= (m-1)/m all the mass falls in the top cell, exactly."""
     _check_order(n)
@@ -114,7 +97,9 @@ def es_n_weights(m: int, n: int, p: float) -> WeightVector:
         raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
-    return WeightVector(_increments(m, n, p))
+    w = _increments(m, n, p)
+    w.flags.writeable = False
+    return w
 
 
 def _increments(m: int, n: int, p) -> np.ndarray:
@@ -130,8 +115,7 @@ def _increments(m: int, n: int, p) -> np.ndarray:
 def empirical_es_n(sample: OrderedSample, n: int, p: float) -> float:
     """Empirical n-th-order Expected Shortfall: weights dotted with the
     ordered sample."""
-    w = es_n_weights(sample.m, n, p)
-    return float(w.weights @ sample.values)
+    return float(es_n_weights(sample.m, n, p) @ sample.values)
 
 
 def is_degenerate(m: int, eps: float) -> bool:
@@ -235,8 +219,8 @@ def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
     excess = x - x[:, i_var - 1, None]
     # The existence check at p = 0 and the left endpoint c = 1 put every row
     # on the same level, so one weight vector serves the whole block.
-    infinite = _row_dots(es_n_weights(m, n, 0.0).weights, excess) > 0.0
-    g1 = _row_dots(es_n_weights(m, n, 1.0 - eps).weights, excess)
+    infinite = _row_dots(es_n_weights(m, n, 0.0), excess) > 0.0
+    g1 = _row_dots(es_n_weights(m, n, 1.0 - eps), excess)
     solve = ~infinite & (g1 > 0.0)
     value = np.ones(b)
     iterations = np.zeros(b, dtype=np.int64)

@@ -1,5 +1,13 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "PelveError", "LevelOutOfRange", "OrderOutOfRange", "InvalidParameter",
+    "ExcessGPDBelowThreshold", "ExcessGPDLevelBelowBase", "NoClosedForm",
+    "QuadratureNonConvergence", "QuantileOverflow", "AlphaOutOfRange",
+    "KappaOutOfRange", "NoFiniteEstimates", "MalformedCsv",
+    "NonPositivePrice", "NonMonotoneDates", "SampleTooSmall",
+]
+
 
 class PelveError(Exception):
     """Base class for all errors raised by this package."""

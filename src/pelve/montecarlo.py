@@ -26,7 +26,6 @@ from .errors import InvalidParameter, NoFiniteEstimates, PelveError
 __all__ = [
     "StudyConfig",
     "StudyResult",
-    "replicate_seed",
     "run_study",
     "export_histogram",
 ]
@@ -79,6 +78,9 @@ def _estimate_rows(block: np.ndarray, cfg: StudyConfig) -> list:
             block if finite.all() else block[finite], cfg.n, cfg.eps
         ))
     except PelveError as exc:
+        if len(block) > 1:
+            # The error may come from some rows only: solve each on its own.
+            return [_estimate_rows(row[None, :], cfg)[0] for row in block]
         return [str(exc) if ok else _NOT_FINITE for ok in finite.tolist()]
     return [next(solved) if ok else _NOT_FINITE for ok in finite.tolist()]
 

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .distributions import DistributionModel, quantile
 from .errors import AlphaOutOfRange, InvalidParameter, KappaOutOfRange, LevelOutOfRange
 from .risk_measures import (
@@ -279,8 +281,11 @@ def _power_integral(kappa: float, eps: float, levels: int) -> float:
     # integral(0..eps) v^kappa dv on panels [eps*2^-(j+1), eps*2^-j] plus a
     # closing panel [0, eps*2^-levels].  Grading toward 0 works arbitrarily
     # deep because doubles stay dense near 0, unlike near 1.
+    # For kappa near -1 the deepest nodes reach the subnormals or 0, where
+    # v^kappa is infinite; the caller takes a non-finite sum as non-convergence.
     nodes, half = _panel_nodes(0.0, eps, levels)
-    return float(((nodes ** kappa) @ _GL_WEIGHTS * half).sum())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(((nodes ** kappa) @ _GL_WEIGHTS * half).sum())
 
 
 def karamata_ratio(
@@ -302,7 +307,7 @@ def karamata_ratio(
     while levels <= 1024:
         levels *= 2
         cur = _power_integral(kappa_rv, eps, levels)
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if math.isfinite(cur) and abs(cur - prev) <= rel_tol * abs(cur):
             return cur / eps ** (kappa_rv + 1.0)
         prev = cur
     raise KappaOutOfRange(

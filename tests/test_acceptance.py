@@ -195,9 +195,9 @@ def test_acceptance_8_property_suites():
     for m in (1, 2, 5, 23, 50):
         for p in levels:
             for n in (1, 2, 3, 4):
-                w = es_n_weights(m, n, p).weights
+                w = es_n_weights(m, n, p)
                 ok &= abs(w.sum() - 1.0) <= 1e-12
-            w2 = es_n_weights(m, 2, p).weights
+            w2 = es_n_weights(m, 2, p)
             if p < (m - 1) / m:
                 for i in range(1, m + 1):
                     lo, hi = (i - 1) / m, i / m

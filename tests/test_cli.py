@@ -68,6 +68,26 @@ def test_ingest_returns():
         ingest_returns("date,return\n")
 
 
+def test_ingest_malformed_rows():
+    for text in (
+        "",  # no header
+        "date,return\n2020-01-01,0.1,7\n",  # three fields
+        "date,return\n2020-01-01\n",  # one field
+        "date,return\n2020-01-01,nan\n",
+        "date,return\n2020-01-01,-inf\n",
+    ):
+        with pytest.raises(MalformedCsv):
+            ingest_returns(text)
+    with pytest.raises(MalformedCsv):
+        ingest_prices("date,price\n2020-01-01,100\n2020-01-02,inf\n")
+
+
+def test_ingest_skips_blank_lines():
+    s = ingest_returns("date,return\n\n2020-01-01,0.1\n\n2020-01-02,0.2\n\n")
+    assert s.dates == ("2020-01-01", "2020-01-02")
+    assert s.returns == (0.1, 0.2)
+
+
 # --- rolling -----------------------------------------------------------------
 
 def test_rolling_constant_series():
@@ -87,6 +107,12 @@ def test_rolling_row_count_and_dates():
     assert len(rows) == (600 - 100 + 1) * 2
     assert rows[0][0] == series.dates[99]
     assert rows[-1][0] == series.dates[-1]
+
+
+def test_rolling_series_shorter_than_window():
+    series = ingest_returns("date,return\n2020-01-01,0.1\n2020-01-02,0.2\n")
+    with pytest.raises(MalformedCsv, match="shorter than window 3"):
+        rolling_pelve(series, RollingConfig(window=3))
 
 
 def test_negate_changes_result_on_skewed_sample():
@@ -180,6 +206,21 @@ def test_cli_data_errors_exit_2(tmp_path):
     bad.write_text("date,price\n2020-01-01,100\n2020-01-02,-5\n")
     code, _, err = run_cli(["empirical", "--input", str(bad), "--kind", "prices"])
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--dist", "normal:a,1"],
+        ["analytic", "--dist", "normal:0,-1"],
+        ["rolling", "--input", str(DATA), "--kind", "returns", "--orders", "1,x"],
+        ["rolling", "--input", str(DATA), "--kind", "returns", "--orders", "0"],
+    ],
+)
+def test_cli_bad_parameter_lists_exit_1(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("pelve ") and "Traceback" not in err
 
 
 def test_cli_analytic_quantile_overflow_exits_2():

@@ -54,18 +54,18 @@ def test_empirical_var_cell_mapping():
 
 def test_weight_examples():
     w = es_n_weights(2, 2, 0.0)
-    assert w.weights == pytest.approx([0.25, 0.75], abs=1e-15)
+    assert w == pytest.approx([0.25, 0.75], abs=1e-15)
     w = es_n_weights(4, 2, 0.9)
-    assert list(w.weights) == [0.0, 0.0, 0.0, 1.0]
+    assert list(w) == [0.0, 0.0, 0.0, 1.0]
     w = es_n_weights(3, 1, 0.0)
-    assert w.weights == pytest.approx([1 / 3] * 3, abs=1e-15)
+    assert w == pytest.approx([1 / 3] * 3, abs=1e-15)
 
 
 def test_weight_top_cell_is_exact():
     for m in (1, 3, 10):
         w = es_n_weights(m, 2, (m - 1) / m)
-        assert w.weights[-1] == 1.0
-        assert np.all(w.weights[:-1] == 0.0)
+        assert w[-1] == 1.0
+        assert np.all(w[:-1] == 0.0)
 
 
 def test_weight_normalization_and_support():
@@ -73,7 +73,7 @@ def test_weight_normalization_and_support():
     for m in (1, 2, 3, 7, 25, 120, 500):
         for n in (1, 2, 3, 4):
             for p in p_grid:
-                w = es_n_weights(m, n, p).weights
+                w = es_n_weights(m, n, p)
                 assert np.all(w >= 0)
                 assert abs(w.sum() - 1.0) <= 1e-12
                 assert np.all(w[: math.floor(m * p)] == 0.0)
@@ -83,7 +83,7 @@ def test_weights_match_order2_piecewise_formula():
     # direct integral of the n=2 kernel 2(s-p)/(1-p)^2 over each cell
     for m in (3, 10, 47):
         for p in (0.0, 0.13, 0.5, 0.87):
-            w = es_n_weights(m, 2, p).weights
+            w = es_n_weights(m, 2, p)
             j = math.floor(m * p)
             for i in range(1, m + 1):
                 lo, hi = (i - 1) / m, i / m
@@ -101,7 +101,7 @@ def test_weights_match_numeric_kernel_integral():
     from scipy.integrate import quad
 
     for m, n, p in [(5, 3, 0.1), (8, 4, 0.37), (6, 1, 0.5)]:
-        w = es_n_weights(m, n, p).weights
+        w = es_n_weights(m, n, p)
         for i in range(1, m + 1):
             lo, hi = max((i - 1) / m, p), i / m
             expect = 0.0
@@ -110,6 +110,24 @@ def test_weights_match_numeric_kernel_integral():
                     lambda s: n * (s - p) ** (n - 1) / (1 - p) ** n, lo, hi
                 )[0]
             assert w[i - 1] == pytest.approx(expect, abs=1e-12)
+
+
+def test_weights_are_a_read_only_array():
+    w = es_n_weights(4, 2, 0.3)
+    assert isinstance(w, np.ndarray) and w.shape == (4,)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_weight_argument_errors():
+    for p in (-0.1, 1.0, 1.5):
+        with pytest.raises(LevelOutOfRange):
+            es_n_weights(5, 2, p)
+    for m in (0, -3):
+        with pytest.raises(InvalidParameter):
+            es_n_weights(m, 2, 0.5)
+    with pytest.raises(OrderOutOfRange):
+        es_n_weights(5, 0, 0.5)
 
 
 def test_empirical_es_examples():
@@ -241,7 +259,7 @@ def _per_sample_solve(values, n, eps, c_tol):
     # the weights through es_n_weights.
     s = OrderedSample(values)
     excess = s.values - empirical_var(s, 1.0 - eps)
-    return _bisect(lambda p: es_n_weights(s.m, n, p).weights @ excess, eps, c_tol)
+    return _bisect(lambda p: es_n_weights(s.m, n, p) @ excess, eps, c_tol)
 
 
 def _assert_rows_match(x, n, eps, c_tol):

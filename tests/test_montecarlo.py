@@ -8,6 +8,7 @@ from pelve import (
     InvalidParameter,
     NoFiniteEstimates,
     Normal,
+    OrderOutOfRange,
     OrderedSample,
     Pareto,
     StudyConfig,
@@ -66,6 +67,27 @@ def test_replicate_failures_keep_their_place():
             assert est is None and not np.isfinite(draw).all()
         else:
             assert est == empirical_pelve(OrderedSample(draw), 2, 0.05)
+
+
+def test_order_error_fails_only_its_own_replicates():
+    # Order 85 on 5000 values is too large for the exact root search.  Only
+    # the replicates whose multiplier lies strictly inside (1, 1/eps) need
+    # that search; the others keep their per-sample (here infinite) results
+    # although they share a block with a failing one.
+    dist = Normal(0, 1)
+    assert 24 > block_rows(5000)
+    res = run_study(StudyConfig(dist, 85, 0.008, 24, 5000, 1))
+    failed = dict(res.failures)
+    assert 0 < len(failed) < 24
+    for r, est in enumerate(res.estimates, start=1):
+        s = OrderedSample(sample(dist, replicate_seed(1, r), 5000))
+        if r in failed:
+            assert est is None
+            with pytest.raises(OrderOutOfRange) as info:
+                empirical_pelve(s, 85, 0.008)
+            assert str(info.value) == failed[r]
+        else:
+            assert est == empirical_pelve(s, 85, 0.008)
 
 
 def test_single_replicate_matches_direct_call():

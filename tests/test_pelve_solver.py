@@ -231,6 +231,17 @@ def test_karamata_ratio():
         karamata_ratio(-1.0, 0.1)
 
 
+@pytest.mark.parametrize("kappa", [-0.98, -0.99, -0.995])
+def test_karamata_ratio_near_minus_one_is_not_converged(kappa):
+    # The deepest panel nodes reach the subnormals, where v^kappa overflows:
+    # that refinement must count as unconverged, not as an infinite ratio,
+    # and leak no floating-point warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(KappaOutOfRange, match="did not converge"):
+            karamata_ratio(kappa, 0.05)
+
+
 # --- the bracketing solve --------------------------------------------------------
 
 def _in_c(shape, eps):
