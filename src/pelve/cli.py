@@ -73,7 +73,7 @@ from .pelve_solver import (
     pelve,
     pelve_closed,
 )
-from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, es_n, es_n_closed
+from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n, es_n_closed
 
 __all__ = [
     "ReturnSeries",
@@ -244,9 +244,13 @@ def _level_grid(floor: float, eps: float):
 def _cmd_analytic(args, out, err) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
+    # Rows up to 1 - eps share one tail table; rows above it stand alone.
+    es_upto = _es_n_upto(dist, n, 1.0 - eps, args.reltol)
     for p in _level_grid(dist.level_floor, eps):
         if args.closed_only:
             value = es_n_closed(dist, n, p)
+        elif p <= 1.0 - eps:
+            value = es_upto(p).value
         else:
             value = es_n(dist, n, p, args.reltol).value
         rows.append((f"es_{n}", p, value))

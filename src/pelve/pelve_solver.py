@@ -28,11 +28,16 @@ import numpy as np
 from .distributions import DistributionModel, quantile
 from .errors import AlphaOutOfRange, InvalidParameter, KappaOutOfRange, LevelOutOfRange
 from .risk_measures import (
+    _GL_FRACTIONS,
     _GL_WEIGHTS,
+    _SMALLEST,
     DEFAULT_REL_TOL,
+    _es_n_upto,
+    _node_callables,
     _panel_nodes,
+    _TailTable,
     es_n,
-    es_n_quadrature,
+    es_n_quadrature,  # noqa: F401  (importable from here, as before)
 )
 
 __all__ = [
@@ -218,16 +223,16 @@ def pelve(
 ) -> PelveResult:
     """Equivalent-level multiplier of ``dist`` at level ``eps`` and order
     ``n``, by existence check plus a bracketing (ITP) solve to within
-    ``c_tol * (c_max - 1)`` of the root, c_max = (1 - level floor)/eps."""
+    ``c_tol * (c_max - 1)`` of the root, c_max = (1 - level floor)/eps.
+
+    Every level the solve visits lies at or below 1 - eps, so where ES_n has
+    no closed form one tail table at 1 - eps serves the whole solve: each
+    evaluation adds only its head over (p, 1 - eps)."""
     _check_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)
-    return _solve(
-        lambda p: es_n(dist, n, p, rel_tol).value - var_level,
-        eps,
-        c_tol,
-        p_floor=dist.level_floor,
-    )
+    es = _es_n_upto(dist, n, 1.0 - eps, rel_tol)
+    return _solve(lambda p: es(p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
 
 
 def pelve_from_quantile(
@@ -239,18 +244,14 @@ def pelve_from_quantile(
     tail_quantile_fn: Callable[[float], float] = None,
 ) -> PelveResult:
     """Same contract as :func:`pelve`, for an arbitrary quantile function;
-    every Expected Shortfall evaluation goes through quadrature.  An
-    optional ``tail_quantile_fn(t)`` = quantile at 1 - t sharpens heavy
-    tails (see :func:`es_n_quadrature`)."""
+    every Expected Shortfall evaluation goes through quadrature, all from one
+    tail table at 1 - eps.  An optional ``tail_quantile_fn(t)`` = quantile
+    at 1 - t sharpens heavy tails (see :func:`es_n_quadrature`)."""
     _check_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile_fn(1.0 - eps)
-
-    def gap(p: float) -> float:
-        es = es_n_quadrature(quantile_fn, n, p, rel_tol, tail_quantile_fn).value
-        return es - var_level
-
-    return _solve(gap, eps, c_tol)
+    table = _TailTable(*_node_callables(quantile_fn, tail_quantile_fn), n, 1.0 - eps, rel_tol)
+    return _solve(lambda p: table.es(n, p).value - var_level, eps, c_tol)
 
 
 def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
@@ -302,10 +303,17 @@ def karamata_ratio(
     if not kappa_rv > -1.0:
         raise KappaOutOfRange(f"index must exceed -1, got {kappa_rv}")
     _check_eps(eps)
+    # Each refinement grades 1.5 times as deep, up to the deepest level at
+    # which the closing panel's nodes are still normal floats: deeper, they
+    # reach the subnormals and 0, where v^kappa overflows for kappa near -1.
+    # Doubling would jump from 512 levels, too shallow for kappa = -0.95,
+    # past that limit.  One refinement always runs, so that a tiny eps still
+    # compares two.
+    deepest = max(math.floor(math.log2(eps * _GL_FRACTIONS[0] / _SMALLEST)), 96)
     levels = 64
     prev = _power_integral(kappa_rv, eps, levels)
-    while levels <= 1024:
-        levels *= 2
+    while levels < deepest:
+        levels = min(levels + levels // 2, deepest)
         cur = _power_integral(kappa_rv, eps, levels)
         if math.isfinite(cur) and abs(cur - prev) <= rel_tol * abs(cur):
             return cur / eps ** (kappa_rv + 1.0)
