@@ -70,9 +70,12 @@ from .pelve_solver import (
     PelveResult,
     _check_c_tol,
     _check_eps,
-    pelve,
     pelve_closed,
 )
+# The analytic solve, handed the ES_n of the level rows so that the two
+# share one tail table.  It keeps the name ``pelve``: the solver layer is
+# called through that module-level name, which perfbench/tracing.py wraps.
+from .pelve_solver import _pelve as pelve
 from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n, es_n_closed
 
 __all__ = [
@@ -244,7 +247,8 @@ def _level_grid(floor: float, eps: float):
 def _cmd_analytic(args, out, err) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
-    # Rows up to 1 - eps share one tail table; rows above it stand alone.
+    # Rows up to 1 - eps and the solve share one tail table; rows above it
+    # stand alone.
     es_upto = _es_n_upto(dist, n, 1.0 - eps, args.reltol)
     for p in _level_grid(dist.level_floor, eps):
         if args.closed_only:
@@ -257,7 +261,7 @@ def _cmd_analytic(args, out, err) -> int:
     if args.closed_only:
         result = pelve_closed(dist, n, eps)
     else:
-        result = pelve(dist, n, eps, args.ctol, args.reltol)
+        result = pelve(dist, n, eps, args.ctol, es_upto)
     if args.format == "json":
         records = [
             {"metric": m, "level": lvl, "value": v} for m, lvl, v in rows

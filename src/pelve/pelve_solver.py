@@ -26,18 +26,27 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import DistributionModel, quantile
-from .errors import AlphaOutOfRange, InvalidParameter, KappaOutOfRange, LevelOutOfRange
+from .errors import (
+    AlphaOutOfRange,
+    InvalidParameter,
+    KappaOutOfRange,
+    LevelOutOfRange,
+    QuadratureNonConvergence,
+)
 from .risk_measures import (
-    _GL_FRACTIONS,
-    _GL_WEIGHTS,
-    _SMALLEST,
     DEFAULT_REL_TOL,
+    EsResult,
     _es_n_upto,
+    _graded_pair,
     _node_callables,
-    _panel_nodes,
+    _pair_sums,
+    _refine,
+    _TAIL_LEVELS,
     _TailTable,
     es_n,
-    es_n_quadrature,  # noqa: F401  (importable from here, as before)
+    # Not called here since solves share one tail table; still importable
+    # from this module, where callers have patched it.
+    es_n_quadrature,  # noqa: F401
 )
 
 __all__ = [
@@ -228,10 +237,17 @@ def pelve(
     Every level the solve visits lies at or below 1 - eps, so where ES_n has
     no closed form one tail table at 1 - eps serves the whole solve: each
     evaluation adds only its head over (p, 1 - eps)."""
+    return _pelve(dist, n, eps, c_tol, _es_n_upto(dist, n, 1.0 - eps, rel_tol))
+
+
+def _pelve(
+    dist: DistributionModel, n: int, eps: float, c_tol: float, es: Callable[[float], EsResult]
+) -> PelveResult:
+    # The solve of pelve, with ES_n at levels up to 1 - eps from ``es`` (as
+    # from _es_n_upto at 1 - eps), which the caller may share.
     _check_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)
-    es = _es_n_upto(dist, n, 1.0 - eps, rel_tol)
     return _solve(lambda p: es(p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
 
 
@@ -278,17 +294,6 @@ def pelve2_rv_limit(alpha: float) -> float:
     return (2.0 * alpha * alpha / ((alpha - 1.0) * (2.0 * alpha - 1.0))) ** alpha
 
 
-def _power_integral(kappa: float, eps: float, levels: int) -> float:
-    # integral(0..eps) v^kappa dv on panels [eps*2^-(j+1), eps*2^-j] plus a
-    # closing panel [0, eps*2^-levels].  Grading toward 0 works arbitrarily
-    # deep because doubles stay dense near 0, unlike near 1.
-    # For kappa near -1 the deepest nodes reach the subnormals or 0, where
-    # v^kappa is infinite; the caller takes a non-finite sum as non-convergence.
-    nodes, half = _panel_nodes(0.0, eps, levels)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(((nodes ** kappa) @ _GL_WEIGHTS * half).sum())
-
-
 def karamata_ratio(
     kappa_rv: float, eps: float, rel_tol: float = DEFAULT_REL_TOL
 ) -> float:
@@ -298,26 +303,22 @@ def karamata_ratio(
     Serves as a numeric verification of the small-level limit that drives
     the regularly-varying asymptotics; the kernel has an integrable
     singularity at 0 for kappa < 0, resolved by geometric panel grading
-    toward the origin.
+    toward the origin, refined as the tail of an Expected Shortfall is, up
+    to the depth where the closing panel's nodes leave the normal floats.
     """
     if not kappa_rv > -1.0:
         raise KappaOutOfRange(f"index must exceed -1, got {kappa_rv}")
     _check_eps(eps)
-    # Each refinement grades 1.5 times as deep, up to the deepest level at
-    # which the closing panel's nodes are still normal floats: deeper, they
-    # reach the subnormals and 0, where v^kappa overflows for kappa near -1.
-    # Doubling would jump from 512 levels, too shallow for kappa = -0.95,
-    # past that limit.  One refinement always runs, so that a tiny eps still
-    # compares two.
-    deepest = max(math.floor(math.log2(eps * _GL_FRACTIONS[0] / _SMALLEST)), 96)
-    levels = 64
-    prev = _power_integral(kappa_rv, eps, levels)
-    while levels < deepest:
-        levels = min(levels + levels // 2, deepest)
-        cur = _power_integral(kappa_rv, eps, levels)
-        if math.isfinite(cur) and abs(cur - prev) <= rel_tol * abs(cur):
-            return cur / eps ** (kappa_rv + 1.0)
-        prev = cur
-    raise KappaOutOfRange(
-        f"power integral did not converge for index {kappa_rv}"
-    )
+
+    def integrate(levels: int) -> tuple:
+        return _pair_sums(
+            np.ones_like, *_graded_pair(0.0, eps, levels), lambda v: (v ** kappa_rv)[..., None]
+        )
+
+    try:
+        total = _refine(integrate, _TAIL_LEVELS, rel_tol)[0]
+    except QuadratureNonConvergence:
+        raise KappaOutOfRange(
+            f"power integral did not converge for index {kappa_rv}"
+        ) from None
+    return float(total[0]) / eps ** (kappa_rv + 1.0)

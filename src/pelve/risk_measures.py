@@ -161,19 +161,10 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[:, None] + width[:, None] * _GL_FRACTIONS, 0.5 * width
 
 
-def _panel_nodes(offset: float, width: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    # Nodes and half-widths of the panels on [offset, offset + width] graded
-    # geometrically toward offset: edges offset + width*2^-k for
-    # k = levels..0, plus a closing panel from offset.
-    edges = np.concatenate(([offset], offset + width * 2.0 ** -np.arange(levels, -1.0, -1)))
-    lo, hi = edges[:-1], edges[1:]
-    keep = hi > lo  # deep grading can underflow to zero-width panels
-    return _panels(lo[keep], hi[keep])
-
-
 def _graded_pair(offset: float, width: float, levels: int, beyond=()) -> tuple:
-    # Panels [lo, hi] of the graded grid at depth 2*levels (edges as in
-    # _panel_nodes, then the further edges ``beyond``, ascending) behind the
+    # Panels [lo, hi] of the graded grid at depth 2*levels (edges
+    # offset + width*2^-k for k = 2*levels..0, then the further edges
+    # ``beyond``, ascending, plus a closing panel from offset) behind the
     # closing panel of the grid at depth levels, and the row from which the
     # coarse grid's panels run.  Row 0 is the coarse closing panel and row
     # 1 the fine one; the coarse grid is row 0 plus the rows from the
@@ -390,20 +381,21 @@ def es_n_quadrature(
 
 def _es_n_upto(
     dist: DistributionModel, n: int, b: float, rel_tol: float = DEFAULT_REL_TOL
-) -> Callable[[float], EsResult]:
-    """ES_n of ``dist`` at levels p <= b: the closed form where the family
-    has one, otherwise one tail table at b, built on first use and shared by
-    every later level."""
+) -> Callable[..., EsResult]:
+    """ES_m of ``dist`` for orders m <= n (default n) at levels p <= b: the
+    closed form where the family has one, otherwise one tail table of n
+    moments at b, built on first use and shared by every later order and
+    level."""
     table = None
 
-    def es(p: float) -> EsResult:
+    def es(p: float, m: int = n) -> EsResult:
         nonlocal table
         try:
-            return EsResult(es_n_closed(dist, n, p), EsMethod.CLOSED_FORM)
+            return EsResult(es_n_closed(dist, m, p), EsMethod.CLOSED_FORM)
         except NoClosedForm:
             if table is None:
                 table = _TailTable(*_family_callables(dist), n, b, rel_tol)
-            return table.es(n, p)
+            return table.es(m, p)
 
     return es
 
@@ -425,10 +417,10 @@ def es_n(
 # ---------------------------------------------------------------------------
 
 def _es_1_2(dist: DistributionModel, p: float, rel_tol: float) -> tuple[float, float]:
-    # ES_1 and ES_2 at p from the moments m_0 and m_1 of one table at p.
-    _check_tail_level(p)
-    table = _TailTable(*_family_callables(dist), 2, p, rel_tol)
-    return table.es(1, p).value, table.es(2, p).value
+    # ES_1 and ES_2 at p: closed forms where the family has them, otherwise
+    # both from the moments m_0 and m_1 of one tail table at p.
+    es = _es_n_upto(dist, 2, p, rel_tol)
+    return es(p, 1).value, es(p, 2).value
 
 
 def tail_gini(
@@ -438,7 +430,8 @@ def tail_gini(
 
     Algebraically identical to the direct integral against the kernel
     2*(2s - 1 - p)/(1-p)^2, and exact by construction in the Gini Shortfall
-    decomposition below.  Both orders come from one tail table at p.
+    decomposition below.  Orders without a closed form come from one tail
+    table at p.
     """
     es1, es2 = _es_1_2(dist, p, rel_tol)
     return 2.0 * (es2 - es1)
@@ -451,8 +444,8 @@ def gini_shortfall(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Gini Shortfall: ES_1 + loading * tail_gini, evaluated through its
-    decomposition (1 - 2*loading)*ES_1 + 2*loading*ES_2, with both orders
-    from one tail table at p."""
+    decomposition (1 - 2*loading)*ES_1 + 2*loading*ES_2, with orders
+    without a closed form from one tail table at p."""
     es1, es2 = _es_1_2(dist, p, rel_tol)
     lam = g.loading
     return (1.0 - 2.0 * lam) * es1 + 2.0 * lam * es2

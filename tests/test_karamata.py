@@ -11,9 +11,9 @@ from pelve import DEFAULT_REL_TOL, KappaOutOfRange, karamata_ratio
 
 @pytest.mark.parametrize("kappa", [-0.94, -0.95])
 def test_karamata_ratio_converges_close_to_minus_one(kappa):
-    # The closing panel's nodes would leave the normal floats before the
-    # refinement doubled from 512 to 1024 levels; grading 1.5 times deeper
-    # each step, up to the last normal level, converges here.
+    # Doubling from 1024 levels sent the closing panel's nodes past the
+    # normal floats, where v^kappa overflows; grading that stops at the
+    # last normal level converges here.
     got = karamata_ratio(kappa, 0.05)
     assert abs(got - 1.0 / (kappa + 1.0)) <= DEFAULT_REL_TOL / (kappa + 1.0)
 

@@ -48,3 +48,15 @@ def test_cli_runs_under_the_tracer(tracing, tmp_path):
     calls = tracer.summary()["calls"]
     assert calls["cli.rolling_pelve"] == 1 and calls["montecarlo.run_study"] == 1
     assert calls["distributions.sample"] == 3
+
+
+def test_analytic_solve_is_traced(tracing):
+    # pelve analytic hands its solve the ES_n of its level rows; the solve
+    # must still run through the name the tracer wraps.
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        argv = ["analytic", "--dist", "normal:0,1", "--order", "3", "--epsilon", "0.05"]
+        assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    summary = tracer.summary()
+    assert summary["calls"]["pelve_solver.pelve"] == 1
+    assert summary["counts"]["pelve_solver.bisection_steps"] > 0

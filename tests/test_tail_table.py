@@ -16,7 +16,9 @@ from pelve import (
     ExcessGPD,
     GeneralizedPareto,
     GiniParams,
+    NoClosedForm,
     Normal,
+    Pareto,
     QuadratureNonConvergence,
     es_n,
     gini_shortfall,
@@ -93,16 +95,46 @@ def _counting_tables(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("dist", [Normal(0, 1), GeneralizedPareto(0.5, 1), ExcessGPD(1, 0.3, 1, 0.4)], ids=repr)
-def test_tail_gini_takes_both_orders_from_one_table(dist, monkeypatch):
+class _WithoutClosedForms(Normal):
+    """The normal model with its closed forms withheld, so that every order
+    goes through quadrature."""
+
+    def es_closed(self, n, p):
+        raise NoClosedForm("withheld")
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Normal(0, 1), GeneralizedPareto(0.5, 1), ExcessGPD(1, 0.3, 1, 0.4), _WithoutClosedForms(0, 1)],
+    ids=repr,
+)
+def test_tail_gini_matches_es_n(dist, monkeypatch):
+    # Families with closed forms at orders 1 and 2 build no table; without
+    # them both orders come from one table at p.
+    quadrature = isinstance(dist, _WithoutClosedForms)
     built = _counting_tables(monkeypatch)
     for p in (dist.level_floor, 0.5, 0.9, 0.99):
-        del built[:]
         expected = 2.0 * (es_n(dist, 2, p).value - es_n(dist, 1, p).value)
+        del built[:]
         assert _close(tail_gini(dist, p), expected), p
-        assert built == [p]
+        assert built == ([p] if quadrature else []), p
         es1 = es_n(dist, 1, p).value
         assert _close(gini_shortfall(dist, p, GiniParams(0.25)), es1 + 0.25 * expected), p
+
+
+def test_tail_gini_from_one_table_matches_the_closed_forms():
+    quad, exact = _WithoutClosedForms(0, 1), Normal(0, 1)
+    for p in (0.0, 0.5, 0.9, 0.99):
+        expected = 2.0 * (exact.es_closed(2, p) - exact.es_closed(1, p))
+        assert _close(tail_gini(quad, p), expected), p
+
+
+@pytest.mark.parametrize("dist", [GeneralizedPareto(0.97, 1), GeneralizedPareto(0.98, 1), Pareto(1, 1.02)], ids=repr)
+def test_tail_gini_of_heavy_tails_is_the_closed_form(dist):
+    # Quadrature of these tails reaches the float limits before it
+    # converges; the closed forms hold at every level.
+    for p in (dist.level_floor, 0.5, 0.9):
+        assert tail_gini(dist, p) == 2.0 * (dist.es_closed(2, p) - dist.es_closed(1, p)), p
 
 
 def test_pelve_builds_one_table_per_solve(monkeypatch):
@@ -131,6 +163,32 @@ def test_pelve_from_quantile_needs_one_table_of_quantile_calls():
     assert counts[0] <= 12_000
     # Nothing is kept across calls: a repeat does the same work.
     assert counts[0] == counts[1]
+
+
+def test_pelve_from_quantile_ends_below_the_float_spacing_in_few_evaluations(monkeypatch):
+    # The case of the test of the same name in test_pelve_solver.py, whose
+    # guard counts es_n_quadrature calls, which the solve no longer makes:
+    # here every gap evaluation of the solve is counted where it happens,
+    # in the one tail table.
+    es = risk_measures._TailTable.es
+    calls = []
+
+    def counted(self, n, p):
+        calls.append(p)
+        if len(calls) > 300:
+            raise RuntimeError("the solve does not end")
+        return es(self, n, p)
+
+    monkeypatch.setattr(risk_measures._TailTable, "es", counted)
+
+    def q(s):
+        return s if s >= 1e-5 else s - 1e6 * (1e-5 - s) / 1e-5
+
+    coarse = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-9, rel_tol=1e-6)
+    fine = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-12, rel_tol=1e-6)
+    assert len(calls) > 0
+    assert 1.0 < fine.value < 1.0 / 0.9999
+    assert abs(fine.value - coarse.value) <= 1e-9 * (1.0 / 0.9999 - 1.0)
 
 
 @pytest.mark.parametrize("shape", [0.9, 0.95, 0.96, 0.97, 0.98])
