@@ -18,9 +18,12 @@ and a numpy array to an array of the same shape.  ``es_closed(n, p)`` and
 NoClosedForm.  ``level_floor`` is the lowest level the model describes:
 base_cdf_at_u for ExcessGPD, 0 elsewhere.
 
-All quantiles are closed-form.  The normal quantile uses the Cephes inverse
-normal CDF (``scipy.special.ndtri``, absolute error below 1e-15); the normal
-CDF uses the error-function route (``scipy.special.ndtr``).
+All quantiles are closed-form.  The normal quantile is Wichura's AS241
+(PPND16, Applied Statistics 37, 1988): a rational function of p - 1/2 in the
+body and of sqrt(-log(min(p, 1 - p))) in the tails, within 1e-15 relative
+of the exact quantile for min(p, 1 - p) down to 1e-300.  The normal CDF and
+the tail 1 - Phi(sqrt(2) z) of the order-2 ES are complementary error
+functions (``math.erfc``).
 
 Sampling is inverse-transform with a fixed, named 64-bit generator (PCG64),
 so results are bit-reproducible for a given seed.  Seed 0 is legal.
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     ExcessGPDBelowThreshold,
@@ -87,9 +89,110 @@ def _log1p(x):
     return np.log1p(x) if isinstance(x, np.ndarray) else math.log1p(x)
 
 
+# AS241's three rational approximations, numerator and denominator
+# coefficients from the highest degree down: the body |p - 1/2| <= 0.425 in
+# 0.180625 - (p - 1/2)^2, and in r = sqrt(-log(min(p, 1 - p))) the tail
+# r <= 5 in r - 1.6 and the far tail r > 5 in r - 5.
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0),
+     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)),
+    ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0),
+     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)),
+)
+_BODY, _TAIL, _FAR = range(3)
+# The same coefficients as 0-d arrays, which ufuncs take faster than Python
+# floats.
+_AS241_ARRAYS = tuple(tuple(tuple(map(np.array, c)) for c in branch) for branch in _AS241)
+_HALF, _ONE, _SPLIT, _BODY_R, _TAIL_R, _FAR_R = map(
+    np.array, (0.5, 1.0, 0.425, 0.180625, 1.6, 5.0)
+)
+
+
+def _ratio(branch: int, x: float) -> float:
+    # One AS241 rational by Horner, in the order the array path keeps.
+    num, den = _AS241[branch]
+    a, b = num[0] * x, den[0] * x
+    for cn, cd in zip(num[1:-1], den[1:-1]):
+        a, b = (a + cn) * x, (b + cd) * x
+    return (a + num[-1]) / (b + den[-1])
+
+
+def _ratio_array(branch: int, x: np.ndarray) -> np.ndarray:
+    # _ratio on a 1-d array, each Horner step in place.  Two 1-d passes per
+    # step measured faster than one pass over a stacked (2, N) array, whose
+    # constants must broadcast.
+    num, den = _AS241_ARRAYS[branch]
+    a, b = num[0] * x, den[0] * x
+    for cn, cd in zip(num[1:-1], den[1:-1]):
+        a += cn
+        a *= x
+        b += cd
+        b *= x
+    a += num[-1]
+    b += den[-1]
+    return np.divide(a, b, out=a)
+
+
+def _ndtri_float(p: float) -> float:
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return q * _ratio(_BODY, 0.180625 - q * q)
+    r = math.sqrt(-math.log(min(p, 1.0 - p)))
+    z = _ratio(_TAIL, r - 1.6) if r <= 5.0 else _ratio(_FAR, r - 5.0)
+    return math.copysign(z, q)
+
+
+def _ndtri_array(p: np.ndarray) -> np.ndarray:
+    # _ndtri_float node by node, for any shape.  The first branch present
+    # runs on every remaining node, where its rational stays finite (the
+    # body's denominator is positive down to 0.180625 - 0.25, and the tail's
+    # terms are positive on far nodes), and a later branch overwrites its own
+    # nodes from a gathered copy; a branch that holds every node is neither
+    # gathered nor scattered.  Each node gets the float path's operations,
+    # whatever the array's shape.
+    flat = p.ravel()
+    q = flat - _HALF
+    tail = (np.abs(q) > _SPLIT).nonzero()[0]
+    z = None
+    if tail.size < q.size:
+        z = _ratio_array(_BODY, np.subtract(_BODY_R, q * q))
+        z *= q
+        if not tail.size:
+            return z.reshape(p.shape)
+        flat, q = flat[tail], q[tail]
+    r = np.minimum(flat, _ONE - flat)
+    np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+    far = (r > _FAR_R).nonzero()[0]
+    if far.size == r.size:
+        w = _ratio_array(_FAR, r - _FAR_R)
+    else:
+        w = _ratio_array(_TAIL, r - _TAIL_R)
+        if far.size:
+            w[far] = _ratio_array(_FAR, r[far] - _FAR_R)
+    np.copysign(w, q, out=w)
+    if z is None:
+        return w.reshape(p.shape)
+    z[tail] = w
+    return z.reshape(p.shape)
+
+
 def _ndtri(x):
-    z = ndtri(x)
-    return z if isinstance(x, np.ndarray) else float(z)
+    """Standard normal quantile of a float in (0, 1) or of an array."""
+    return _ndtri_array(x) if isinstance(x, np.ndarray) else _ndtri_float(x)
 
 
 def _in_unit(x, what: str):
@@ -213,7 +316,7 @@ class Normal(_Family):
             raise InvalidParameter("Normal requires stddev > 0")
 
     def cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mean) / self.stddev))
+        return 0.5 * math.erfc((self.mean - x) / (self.stddev * math.sqrt(2.0)))
 
     def _quantile(self, p):
         return self.mean + self.stddev * _ndtri(p)
@@ -223,12 +326,14 @@ class Normal(_Family):
 
     def es_closed(self, n: int, p: float) -> float:
         """Closed-form ES_n at level p in [0, 1), orders 1 and 2 only."""
-        z = float(ndtri(p))  # -inf at p = 0; the formulas below absorb it
+        # z = -inf at p = 0, where exp gives 0 and erfc gives 2.
+        z = _ndtri_float(p) if p > 0.0 else -math.inf
         if n == 1:
-            phi_z = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) if math.isfinite(z) else 0.0
+            phi_z = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             return self.mean + self.stddev * phi_z / (1.0 - p)
         if n == 2:
-            tail = 1.0 - float(ndtr(math.sqrt(2.0) * z)) if math.isfinite(z) else 1.0
+            # 1 - Phi(sqrt(2) z), without the cancellation of 1 - Phi.
+            tail = 0.5 * math.erfc(z)
             return self.mean + self.stddev * tail / (math.sqrt(math.pi) * (1.0 - p) ** 2)
         raise NoClosedForm(f"no closed normal form for order {n}")
 

@@ -44,9 +44,6 @@ from .risk_measures import (
     _TAIL_LEVELS,
     _TailTable,
     es_n,
-    # Not called here since solves share one tail table; still importable
-    # from this module, where callers have patched it.
-    es_n_quadrature,  # noqa: F401
 )
 
 __all__ = [
@@ -301,7 +298,9 @@ def karamata_ratio(
     power kernel, which equals 1/(kappa + 1) for every eps.
 
     Serves as a numeric verification of the small-level limit that drives
-    the regularly-varying asymptotics; the kernel has an integrable
+    the regularly-varying asymptotics.  The substitution v = eps*u turns the
+    ratio into the integral over (0, 1) of u^kappa du, so eps never enters
+    the arithmetic and cannot underflow.  The kernel has an integrable
     singularity at 0 for kappa < 0, resolved by geometric panel grading
     toward the origin, refined as the tail of an Expected Shortfall is, up
     to the depth where the closing panel's nodes leave the normal floats.
@@ -312,7 +311,7 @@ def karamata_ratio(
 
     def integrate(levels: int) -> tuple:
         return _pair_sums(
-            np.ones_like, *_graded_pair(0.0, eps, levels), lambda v: (v ** kappa_rv)[..., None]
+            np.ones_like, *_graded_pair(0.0, 1.0, levels), lambda u: (u ** kappa_rv)[..., None]
         )
 
     try:
@@ -321,4 +320,4 @@ def karamata_ratio(
         raise KappaOutOfRange(
             f"power integral did not converge for index {kappa_rv}"
         ) from None
-    return float(total[0]) / eps ** (kappa_rv + 1.0)
+    return float(total[0])

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from pelve.cli import (
 )
 
 DATA = Path(__file__).parent / "data" / "returns_600.csv"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -307,3 +311,14 @@ def test_cli_rolling_inf_rendering_and_golden_stability():
     assert len(records) == (600 - 100 + 1) * 2
     infinite = [r for r in records if r["infinite"]]
     assert infinite and all(r["pelve"] is None for r in infinite)
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.special took about two thirds of the CLI's start-up
+    # time; nothing in pelve may bring it back.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = "import sys, pelve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -29,3 +29,12 @@ def test_karamata_ratio_near_minus_one_returns_right_or_raises(eps):
                 continue
             exact = 1.0 / (kappa + 1.0)
             assert math.isfinite(got) and abs(got - exact) <= 10.0 * DEFAULT_REL_TOL * exact, (kappa, got)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.05])
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.3, 1.0, 2.5, 7.0])
+def test_karamata_ratio_holds_for_every_eps(kappa, eps):
+    # The ratio does not depend on eps; eps ** (kappa + 1) underflowed to 0
+    # at eps = 1e-300 when it entered the arithmetic.
+    got = karamata_ratio(kappa, eps)
+    assert got == pytest.approx(1.0 / (kappa + 1.0), rel=DEFAULT_REL_TOL)

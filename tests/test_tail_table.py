@@ -165,32 +165,6 @@ def test_pelve_from_quantile_needs_one_table_of_quantile_calls():
     assert counts[0] == counts[1]
 
 
-def test_pelve_from_quantile_ends_below_the_float_spacing_in_few_evaluations(monkeypatch):
-    # The case of the test of the same name in test_pelve_solver.py, whose
-    # guard counts es_n_quadrature calls, which the solve no longer makes:
-    # here every gap evaluation of the solve is counted where it happens,
-    # in the one tail table.
-    es = risk_measures._TailTable.es
-    calls = []
-
-    def counted(self, n, p):
-        calls.append(p)
-        if len(calls) > 300:
-            raise RuntimeError("the solve does not end")
-        return es(self, n, p)
-
-    monkeypatch.setattr(risk_measures._TailTable, "es", counted)
-
-    def q(s):
-        return s if s >= 1e-5 else s - 1e6 * (1e-5 - s) / 1e-5
-
-    coarse = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-9, rel_tol=1e-6)
-    fine = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-12, rel_tol=1e-6)
-    assert len(calls) > 0
-    assert 1.0 < fine.value < 1.0 / 0.9999
-    assert abs(fine.value - coarse.value) <= 1e-9 * (1.0 / 0.9999 - 1.0)
-
-
 @pytest.mark.parametrize("shape", [0.9, 0.95, 0.96, 0.97, 0.98])
 def test_heavy_tails_are_right_or_raise(shape):
     # ES_n(p) = ((1 - p)^-k n B(n, 1 - k) - 1)/k for GPD(k, 1).  Near k = 1
