@@ -165,6 +165,32 @@ def test_pelve_from_quantile_needs_one_table_of_quantile_calls():
     assert counts[0] == counts[1]
 
 
+def test_pelve_from_quantile_ends_below_the_float_spacing_in_few_evaluations(monkeypatch):
+    # The case of test_pelve_solver.py's float-spacing test, counted in the
+    # one tail table: a goal below the spacing of doubles near c_max must
+    # not cost more ES evaluations than bisection down to neighbouring
+    # doubles, plus a few for the ends and ITP's spare steps.
+    es = risk_measures._TailTable.es
+    calls = []
+
+    def counted(self, n, p):
+        calls.append(p)
+        if len(calls) > 300:
+            raise RuntimeError("the solve does not end")
+        return es(self, n, p)
+
+    monkeypatch.setattr(risk_measures._TailTable, "es", counted)
+
+    def q(s):
+        return s if s >= 1e-5 else s - 1e6 * (1e-5 - s) / 1e-5
+
+    c_max = 1.0 / 0.9999
+    fine = pelve_from_quantile(q, 1, 0.9999, c_tol=1e-12, rel_tol=1e-6)
+    bisection = math.ceil(math.log2((c_max - 1.0) / math.ulp(c_max)))
+    assert 0 < len(calls) <= bisection + 8, (len(calls), bisection)
+    assert 1.0 < fine.value < c_max
+
+
 @pytest.mark.parametrize("shape", [0.9, 0.95, 0.96, 0.97, 0.98])
 def test_heavy_tails_are_right_or_raise(shape):
     # ES_n(p) = ((1 - p)^-k n B(n, 1 - k) - 1)/k for GPD(k, 1).  Near k = 1
