@@ -32,6 +32,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from datetime import date
 from typing import Optional
@@ -63,6 +64,7 @@ from .errors import (
     NonMonotoneDates,
     NonPositivePrice,
     PelveError,
+    SampleTooSmall,
 )
 from .montecarlo import StudyConfig, export_histogram, run_study
 from .pelve_solver import (
@@ -81,6 +83,7 @@ from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n, es
 __all__ = [
     "ReturnSeries",
     "RollingConfig",
+    "RollingColumns",
     "ingest_prices",
     "ingest_returns",
     "rolling_pelve",
@@ -129,24 +132,29 @@ def _parse_rows(csv_text: str, value_column: str):
         )
     dates, values = [], []
     prev: Optional[date] = None
+    fromisoformat, isfinite = date.fromisoformat, math.isfinite
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
         if len(row) != 2:
+            if not row:
+                continue
             raise MalformedCsv(f"line {lineno}: expected 2 fields, got {len(row)}")
+        text, cell = row
+        text = text.strip()
         try:
-            d = date.fromisoformat(row[0].strip())
-            v = float(row[1])
+            d = fromisoformat(text)
+            v = float(cell)
         except ValueError as exc:
             raise MalformedCsv(f"line {lineno}: {exc}") from None
-        if not math.isfinite(v):
-            raise MalformedCsv(f"line {lineno}: non-finite value {row[1]!r}")
+        if not isfinite(v):
+            raise MalformedCsv(f"line {lineno}: non-finite value {cell!r}")
         if prev is not None and d <= prev:
             raise NonMonotoneDates(
                 f"line {lineno}: date {d.isoformat()} not after {prev.isoformat()}"
             )
         prev = d
-        dates.append(d.isoformat())
+        # A parsed YYYY-MM-DD is already its own isoformat(); the other
+        # forms fromisoformat accepts (20200102, 2020-W01-4) are rewritten.
+        dates.append(text if len(text) == 10 and text[4] == text[7] == "-" else d.isoformat())
         values.append(v)
     return dates, values
 
@@ -176,22 +184,30 @@ def ingest_returns(csv_text: str) -> ReturnSeries:
 # rolling analysis
 # ---------------------------------------------------------------------------
 
-def rolling_pelve(series: ReturnSeries, cfg: RollingConfig):
+@dataclass(frozen=True)
+class RollingColumns:
+    """The rolling multiplier series: the window-end dates, one read-only
+    value column per order of the config (inf where the multiplier is
+    infinite) and whether the window is degenerate (m*eps < 1)."""
+
+    dates: tuple
+    values: tuple
+    degenerate: bool
+
+
+def rolling_pelve(series: ReturnSeries, cfg: RollingConfig) -> RollingColumns:
     """Empirical multiplier over each trailing window of cfg.window returns,
-    one row per (window end date, order):
-    (date, order, PelveResult, degenerate_flag)."""
+    for each order of cfg.orders."""
     m = len(series)
     if m < cfg.window:
         raise MalformedCsv(f"series length {m} is shorter than window {cfg.window}")
     sign = -1.0 if cfg.negate else 1.0
     windows = np.sort(sliding_window_view(sign * np.asarray(series.returns), cfg.window), axis=1)
-    degenerate = is_degenerate(cfg.window, cfg.eps)
-    by_order = [empirical_pelve_rows(windows, order, cfg.eps) for order in cfg.orders]
-    return [
-        (d, order, results[t], degenerate)
-        for t, d in enumerate(series.dates[cfg.window - 1 :])
-        for order, results in zip(cfg.orders, by_order)
-    ]
+    return RollingColumns(
+        dates=series.dates[cfg.window - 1 :],
+        values=tuple(empirical_pelve_rows(windows, order, cfg.eps).value for order in cfg.orders),
+        degenerate=is_degenerate(cfg.window, cfg.eps),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,25 +396,34 @@ def _cmd_rolling(args, out, err) -> int:
         orders=tuple(args.orders),
         negate=args.negate,
     )
-    rows = rolling_pelve(series, cfg)
+    res = rolling_pelve(series, cfg)
+    # One row per (window end date, order), from the columns as lists of
+    # Python floats; a float's repr is the text csv.writer writes for it.
+    columns = [column.tolist() for column in res.values]
     if args.format == "json":
         records = [
             {
                 "date": d,
                 "order": order,
-                "pelve": result.value,
-                "infinite": not result.is_finite,
-                "degenerate": degenerate,
+                "pelve": None if v == math.inf else v,
+                "infinite": v == math.inf,
+                "degenerate": res.degenerate,
             }
-            for d, order, result, degenerate in rows
+            for d, *values in zip(res.dates, *columns)
+            for order, v in zip(cfg.orders, values)
         ]
         json.dump(records, out, indent=2)
         out.write("\n")
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["date", "order", "pelve", "degenerate"])
-        for d, order, result, degenerate in rows:
-            writer.writerow([d, order, _pelve_cell(result), str(degenerate).lower()])
+        flag = str(res.degenerate).lower()
+        out.write("".join(
+            ["date,order,pelve,degenerate\n"]
+            + [
+                f"{d},{order},{v!r},{flag}\n"
+                for d, *values in zip(res.dates, *columns)
+                for order, v in zip(cfg.orders, values)
+            ]
+        ))
     return 0
 
 
@@ -511,11 +536,26 @@ def main(argv=None, out=None, err=None) -> int:
     except _UsageError as exc:
         print(exc, file=err)
         return 1
-    try:
-        return args.fn(args, out, err)
-    except (PelveError, OSError) as exc:
-        print(f"pelve: {exc}", file=err)
-        return 2
+    # A SampleTooSmall warning becomes one line on err per distinct message;
+    # every other warning is shown as Python would show it.
+    reported = set()
+    show = warnings.showwarning
+
+    def report(message, category, *where):
+        if not issubclass(category, SampleTooSmall):
+            show(message, category, *where)
+        elif str(message) not in reported:
+            reported.add(str(message))
+            print(f"pelve: warning: {message}", file=err)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", SampleTooSmall)
+        warnings.showwarning = report
+        try:
+            return args.fn(args, out, err)
+        except (PelveError, OSError) as exc:
+            print(f"pelve: {exc}", file=err)
+            return 2
 
 
 def entrypoint() -> None:

@@ -204,20 +204,33 @@ def _in_unit(x, what: str):
     return x
 
 
+def _inside(x, low, high) -> bool:
+    # low < x < high for a float, or for every element of an array in one
+    # combined test; 0-d bounds spare numpy its Python-float scalar path.
+    if isinstance(x, np.ndarray):
+        return bool(((x > np.asarray(low)) & (x < np.asarray(high))).all())
+    return low < x < high
+
+
 class _Family:
     """Checked entry points over each family's unchecked ``_quantile`` and
-    ``_tail_quantile`` formulas."""
+    ``_tail_quantile`` formulas.  level_floor >= 0, so one test of
+    level_floor < p < 1 (or 0 < t < 1 - level_floor) stands for both range
+    checks; only when it fails do the separate checks run, to raise."""
 
     level_floor = 0.0
 
     def quantile(self, p):
         """Value at Risk at level ``p`` in (level_floor, 1): the lower
         quantile inf{x : F(x) >= p}, by the family's closed form."""
-        p = _in_unit(p, "level")
-        if not _holds(p > self.level_floor):
-            raise ExcessGPDLevelBelowBase(
-                f"quantile requires p > base_cdf_at_u={self.level_floor}, got p={p}"
-            )
+        if not isinstance(p, np.ndarray):
+            p = float(p)
+        if not _inside(p, self.level_floor, 1.0):
+            p = _in_unit(p, "level")
+            if not _holds(p > self.level_floor):
+                raise ExcessGPDLevelBelowBase(
+                    f"quantile requires p > base_cdf_at_u={self.level_floor}, got p={p}"
+                )
         try:
             return self._quantile(p)
         except OverflowError:  # raised by float **; arrays overflow to inf
@@ -229,11 +242,15 @@ class _Family:
         """The quantile at level 1 - t, computed from the tail probability
         ``t`` directly, so it stays accurate for t far below the float
         spacing at 1 (which matters when integrating heavy tails)."""
-        t = _in_unit(t, "tail probability")
-        if not _holds(t < 1.0 - self.level_floor):
-            raise ExcessGPDLevelBelowBase(
-                f"tail probability must be below 1 - base_cdf_at_u = {1.0 - self.level_floor}"
-            )
+        if not isinstance(t, np.ndarray):
+            t = float(t)
+        if not _inside(t, 0.0, 1.0 - self.level_floor):
+            t = _in_unit(t, "tail probability")
+            if not _holds(t < 1.0 - self.level_floor):
+                raise ExcessGPDLevelBelowBase(
+                    "tail probability must be below 1 - base_cdf_at_u = "
+                    f"{1.0 - self.level_floor}"
+                )
         try:
             return self._tail_quantile(t)
         except OverflowError:

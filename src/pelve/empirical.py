@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "empirical_es_n",
     "empirical_pelve",
     "empirical_pelve_rows",
+    "PelveColumns",
     "is_degenerate",
 ]
 
@@ -140,7 +142,28 @@ def empirical_pelve(sample: OrderedSample, n: int, eps: float) -> PelveResult:
     where VaR-hat sits on the sample maximum and the estimate is
     degenerate.  This is :func:`empirical_pelve_rows` on one row.
     """
-    return empirical_pelve_rows(sample.values[None, :], n, eps)[0]
+    return empirical_pelve_rows(sample.values[None, :], n, eps).result(0)
+
+
+@dataclass(frozen=True, eq=False)
+class PelveColumns:
+    """Multiplier estimates of B rows as three read-only columns: ``value``
+    (inf on an infinite row), ``iterations`` and ``residual`` (both 0 on an
+    infinite row, as in ``PelveResult.infinite()``)."""
+
+    value: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    def result(self, i: int) -> PelveResult:
+        """Row i as a PelveResult."""
+        value = float(self.value[i])
+        if value == math.inf:
+            return PelveResult.infinite()
+        return PelveResult.finite(value, int(self.iterations[i]), float(self.residual[i]))
 
 
 # The batched solve takes rows in blocks of about this many doubles.  Its
@@ -166,9 +189,10 @@ def block_rows(m: int) -> int:
     return max(1, BLOCK_DOUBLES // m)
 
 
-def empirical_pelve_rows(rows, n: int, eps: float) -> list:
+def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     """:func:`empirical_pelve` of every row of an ascending-sorted (B, m)
-    matrix of finite values, as a list of B results.
+    matrix of finite values, as B rows of columns; ``result(i)`` is row i's
+    PelveResult.
 
     Per row: the multiplier is infinite when ES-hat_n(0) > VaR-hat, and 1
     when ES-hat_n(1 - eps) <= VaR-hat.  Otherwise cumulative sums of the top
@@ -202,14 +226,19 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> list:
             SampleTooSmall,
             stacklevel=2,
         )
+    b = rows.shape[0]
+    value, residual = np.empty(b), np.empty(b)
+    iterations = np.empty(b, dtype=np.int64)
     step = block_rows(m)
-    results: list = []
-    for start in range(0, rows.shape[0], step):
-        results += _solve_block(rows[start : start + step], n, eps)
-    return results
+    for start in range(0, b, step):
+        block = slice(start, start + step)
+        value[block], iterations[block], residual[block] = _solve_block(rows[block], n, eps)
+    for column in (value, iterations, residual):
+        column.flags.writeable = False
+    return PelveColumns(value, iterations, residual)
 
 
-def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
+def _solve_block(x: np.ndarray, n: int, eps: float):
     b, m = x.shape
     i_var = _var_index(m, 1.0 - eps)
     wide = np.maximum(-x[:, 0], x[:, -1]) >= _WIDE
@@ -237,12 +266,9 @@ def _solve_block(x: np.ndarray, n: int, eps: float) -> list:
         levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
         residual[solve] = np.abs(_row_dots(_increments(m, n, levels), excess))
     residual[wide] /= _WIDE_SCALE  # back in the row's own units
-    return [
-        PelveResult.infinite() if inf else PelveResult.finite(c, steps, res)
-        for inf, c, steps, res in zip(
-            infinite.tolist(), value.tolist(), iterations.tolist(), residual.tolist()
-        )
-    ]
+    value[infinite] = math.inf
+    residual[infinite] = 0.0
+    return value, iterations, residual
 
 
 def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:

@@ -70,19 +70,24 @@ def _finite_values(estimates) -> np.ndarray:
     return np.array([e.value for e in estimates if e is not None and e.is_finite])
 
 
-def _estimate_rows(block: np.ndarray, cfg: StudyConfig) -> list:
-    # One PelveResult, or the error message, per sorted row of the block.
+def _estimate_rows(block: np.ndarray, cfg: StudyConfig):
+    # The value column of the sorted rows of the block (nan where a row
+    # fails), and per row its PelveResult or error message.
     finite = np.isfinite(block).all(axis=1)
     try:
-        solved = iter(empirical_pelve_rows(
+        solved = empirical_pelve_rows(
             block if finite.all() else block[finite], cfg.n, cfg.eps
-        ))
+        )
     except PelveError as exc:
         if len(block) > 1:
             # The error may come from some rows only: solve each on its own.
-            return [_estimate_rows(row[None, :], cfg)[0] for row in block]
-        return [str(exc) if ok else _NOT_FINITE for ok in finite.tolist()]
-    return [next(solved) if ok else _NOT_FINITE for ok in finite.tolist()]
+            rows = [_estimate_rows(row[None, :], cfg) for row in block]
+            return np.concatenate([v for v, _ in rows]), [o for _, (o,) in rows]
+        return np.full(1, math.nan), [str(exc) if finite[0] else _NOT_FINITE]
+    values = np.full(len(block), math.nan)
+    values[finite] = solved.value
+    results = map(solved.result, range(len(solved)))
+    return values, [next(results) if ok else _NOT_FINITE for ok in finite.tolist()]
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -95,6 +100,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     """
     estimates: list = []
     failures: list = []
+    values: list = []
     m = cfg.sample_len
     step = block_rows(m)
     for first in range(1, cfg.replicates + 1, step):
@@ -105,14 +111,17 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         # Any sort will do: it can only order -0.0 against 0.0 differently
         # from OrderedSample's stable sort, which no estimate can see.
         block.sort(axis=1)
-        for r, outcome in zip(replicates, _estimate_rows(block, cfg)):
+        block_values, outcomes = _estimate_rows(block, cfg)
+        values.append(block_values)
+        for r, outcome in zip(replicates, outcomes):
             if isinstance(outcome, str):
                 failures.append((r, outcome))
                 estimates.append(None)
             else:
                 estimates.append(outcome)
 
-    finite = _finite_values(estimates)
+    values = np.concatenate(values)
+    finite = values[np.isfinite(values)]
     k = finite.size
     mean = float(finite.mean()) if k else math.nan
     stddev = float(finite.std(ddof=1)) if k > 1 else 0.0

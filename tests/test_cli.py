@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -92,25 +93,58 @@ def test_ingest_skips_blank_lines():
     assert s.returns == (0.1, 0.2)
 
 
+def test_ingest_prints_dates_as_yyyy_mm_dd():
+    # Every form date.fromisoformat accepts comes out as YYYY-MM-DD.
+    s = ingest_returns(
+        "date,return\n20200102,0.1\n2020-W01-5,0.2\n 2020-01-04 ,0.3\n2020W017,0.4\n"
+    )
+    assert s.dates == ("2020-01-02", "2020-01-03", "2020-01-04", "2020-01-05")
+    assert s.returns == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_ingest_errors_keep_line_numbers_and_messages():
+    for text, error, message in (
+        ("date,return\n2020-01-01,0.1\n2020-13-01,0.2\n", MalformedCsv,
+         "line 3: month must be in 1..12"),
+        ("date,return\n2020-01-01,0.1\n2020-1-02,0.2\n", MalformedCsv,
+         "line 3: Invalid isoformat string: '2020-1-02'"),
+        ("date,return\n2020-01-01,0.1\n2020-01-01,0.2\n", NonMonotoneDates,
+         "line 3: date 2020-01-01 not after 2020-01-01"),
+        ("date,return\n20200102,0.1\n2020-01-01,0.2\n", NonMonotoneDates,
+         "line 3: date 2020-01-01 not after 2020-01-02"),
+        ("date,return\n2020-01-01,0.1\n\n2020-01-02,inf\n", MalformedCsv,
+         "line 4: non-finite value 'inf'"),
+        ("date,return\n2020-01-01,0.1,3\n", MalformedCsv, "line 2: expected 2 fields, got 3"),
+        ("date,return\n2020-01-01,abc\n", MalformedCsv,
+         "line 2: could not convert string to float: 'abc'"),
+    ):
+        with pytest.raises(error) as caught:
+            ingest_returns(text)
+        assert str(caught.value) == message
+
+
 # --- rolling -----------------------------------------------------------------
 
 def test_rolling_constant_series():
     series = ingest_returns(
         "date,return\n" + "".join(f"2020-01-{d:02d},0.01\n" for d in range(1, 11))
     )
-    rows = rolling_pelve(series, RollingConfig(window=10, eps=0.2, orders=(1, 2)))
-    assert len(rows) == 2  # window equals series length: one row per order
-    for _, _, result, _ in rows:
-        assert result.value == 1.0
+    res = rolling_pelve(series, RollingConfig(window=10, eps=0.2, orders=(1, 2)))
+    # Window equals series length: one date, one row per order.
+    assert len(res.dates) == 1 and len(res.values) == 2
+    for column in res.values:
+        assert column.tolist() == [1.0]
 
 
 def test_rolling_row_count_and_dates():
     text = DATA.read_text()
     series = ingest_returns(text)
-    rows = rolling_pelve(series, RollingConfig(window=100, eps=0.05, orders=(1, 2)))
-    assert len(rows) == (600 - 100 + 1) * 2
-    assert rows[0][0] == series.dates[99]
-    assert rows[-1][0] == series.dates[-1]
+    res = rolling_pelve(series, RollingConfig(window=100, eps=0.05, orders=(1, 2)))
+    assert len(res.values) == 2
+    assert [len(column) for column in res.values] == [len(res.dates)] * 2
+    assert len(res.dates) * len(res.values) == (600 - 100 + 1) * 2
+    assert res.dates[0] == series.dates[99]
+    assert res.dates[-1] == series.dates[-1]
 
 
 def test_rolling_series_shorter_than_window():
@@ -127,7 +161,7 @@ def test_negate_changes_result_on_skewed_sample():
     series = ingest_returns(text)
     plain = rolling_pelve(series, RollingConfig(21, 0.1, (2,), negate=False))
     negated = rolling_pelve(series, RollingConfig(21, 0.1, (2,), negate=True))
-    assert plain[0][2].value != negated[0][2].value
+    assert plain.values[0][0] != negated.values[0][0]
 
 
 # --- CLI dispatch ------------------------------------------------------------
@@ -283,15 +317,56 @@ def test_cli_rolling_two_row_constant_prices(tmp_path):
     f.write_text(
         "date,price\n2020-01-01,100\n2020-01-02,100\n2020-01-03,100\n"
     )
-    with pytest.warns(SampleTooSmall):  # m*eps = 0.4
-        code, out, _ = run_cli(
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI reports it on err instead
+        code, out, err = run_cli(
             ["rolling", "--input", str(f), "--kind", "prices", "--window", "2",
              "--epsilon", "0.2", "--orders", "1"]
         )
     assert code == 0
+    assert err == (  # m*eps = 0.4
+        "pelve: warning: m*eps = 0.4 < 1: empirical VaR is the sample maximum "
+        "and the multiplier estimate is degenerate\n"
+    )
     body = out.splitlines()[1:]
     assert len(body) == 1  # two returns, window 2: a single window
     assert all(line.split(",")[2:] == ["1.0", "true"] for line in body)
+
+
+def test_cli_reports_each_sample_warning_once(tmp_path):
+    f = tmp_path / "r.csv"
+    f.write_text("date,return\n" + "".join(f"2020-01-{d:02d},{d / 100}\n" for d in range(1, 13)))
+    line = ("pelve: warning: m*eps = 0.5 < 1: empirical VaR is the sample maximum "
+            "and the multiplier estimate is degenerate\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Two orders solve twice and warn twice, with one message.
+        code, out, err = run_cli(["rolling", "--input", str(f), "--kind", "returns",
+                                  "--window", "10", "--orders", "1,2"])
+        assert code == 0 and err == line
+        assert all(row.endswith(",true") for row in out.splitlines()[1:])
+        code, out, err = run_cli(["empirical", "--input", str(f), "--kind", "returns",
+                                  "--epsilon", "0.01"])
+        assert code == 0 and err == line.replace("0.5", "0.12")
+        assert out.splitlines()[-1] == "degenerate,true"
+
+
+def test_cli_shows_other_warnings_as_python_does(tmp_path, monkeypatch):
+    import pelve.cli as cli
+
+    def noisy(*args):
+        warnings.warn("not a sample warning", UserWarning)
+        warnings.warn("too small", SampleTooSmall)
+        return solve(*args)
+
+    solve = cli.empirical_pelve
+    monkeypatch.setattr(cli, "empirical_pelve", noisy)
+    f = tmp_path / "r.csv"
+    f.write_text("date,return\n" + "".join(f"2020-01-{d:02d},{d / 100}\n" for d in range(1, 31)))
+    with pytest.warns(UserWarning, match="not a sample warning") as caught:
+        code, _, err = run_cli(["empirical", "--input", str(f), "--kind", "returns"])
+    assert code == 0 and err == "pelve: warning: too small\n"
+    assert [w.category for w in caught] == [UserWarning]
 
 
 def test_cli_rolling_inf_rendering_and_golden_stability():

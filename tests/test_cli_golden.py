@@ -47,6 +47,12 @@ CASES = {
                     "--window", "20", "--orders", "1,2,3"],
     "rolling-json": ["--format", "json", "rolling", "--input", "{returns_60}",
                      "--kind", "returns", "--window", "20", "--orders", "1,2,3"],
+    "rolling-600": ["rolling", "--input", "{returns_600}", "--kind", "returns",
+                    "--window", "100", "--orders", "1,2"],
+    "rolling-600-json": ["--format", "json", "rolling", "--input", "{returns_600}",
+                         "--kind", "returns", "--window", "100", "--orders", "1,2"],
+    "rolling-degenerate": ["rolling", "--input", "{returns_60}", "--kind", "returns",
+                           "--window", "10"],
     "simulate-normal": ["simulate", "--dist", "normal:0,1", "--replicates", "20",
                         "--length", "400", "--seed", "3", "--bins", "5"],
     "simulate-pareto-failures": ["simulate", "--dist", "pareto:1,0.01", "--replicates",

@@ -92,6 +92,35 @@ def test_excess_gpd_quantile_below_base_errors():
         quantile(ExcessGPD(1, 0.25, 2, 0.3), 0.2)
 
 
+def test_range_checks_name_the_first_failing_rule():
+    # One combined test runs first; when it fails, the unit-interval check
+    # comes before the level-floor check, for floats and arrays alike.
+    d = ExcessGPD(1, 0.3, 1, 0.4)
+    unit = "{} must lie in (0, 1), got {}"
+    for fn, x, error, message in (
+        (d.quantile, math.nan, LevelOutOfRange, unit.format("level", "nan")),
+        (d.quantile, 1, LevelOutOfRange, unit.format("level", "1.0")),
+        (d.quantile, np.array([0.5, 0.0]), LevelOutOfRange,
+         unit.format("level", "[0.5 0. ]")),
+        (d.quantile, 0.4, ExcessGPDLevelBelowBase,
+         "quantile requires p > base_cdf_at_u=0.4, got p=0.4"),
+        (d.quantile, np.array([0.5, 0.3]), ExcessGPDLevelBelowBase,
+         "quantile requires p > base_cdf_at_u=0.4, got p=[0.5 0.3]"),
+        (d.tail_quantile, 1.5, LevelOutOfRange,
+         unit.format("tail probability", "1.5")),
+        (d.tail_quantile, np.array([[0.5], [1.0]]), LevelOutOfRange,
+         unit.format("tail probability", "[[0.5]\n [1. ]]")),
+        (d.tail_quantile, np.array([0.7, 0.65]), ExcessGPDLevelBelowBase,
+         "tail probability must be below 1 - base_cdf_at_u = 0.6"),
+    ):
+        with pytest.raises(error) as caught:
+            fn(x)
+        assert str(caught.value) == message, (fn.__name__, x)
+    # In range, a numpy scalar still takes the float path.
+    assert type(d.quantile(np.float64(0.5))) is float
+    assert type(Normal(0, 1).tail_quantile(np.float64(0.3))) is float
+
+
 @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
 def test_quantile_nondecreasing(dist):
     grid = [p for p in P_GRID if not (isinstance(dist, ExcessGPD) and p <= dist.base_cdf_at_u)]

@@ -260,6 +260,11 @@ def _per_sample_solve(values, n, eps, c_tol):
     return _bisect(lambda p: es_n_weights(s.m, n, p) @ excess, eps, c_tol)
 
 
+def _results(columns):
+    # The batched solve's rows as a list of PelveResults.
+    return [columns.result(i) for i in range(len(columns))]
+
+
 def _assert_rows_match(x, n, eps, c_tol):
     # Infinite and c = 1 rows come from the same two checks as the bisection,
     # bit for bit; every other root lies within the bisection's stopping
@@ -268,7 +273,7 @@ def _assert_rows_match(x, n, eps, c_tol):
         warnings.simplefilter("ignore", SampleTooSmall)
         # numpy's default sort may order -0.0 and 0.0 unlike OrderedSample's
         # stable sort; the results must not notice.
-        got = empirical_pelve_rows(np.sort(x, axis=1), n, eps)
+        got = _results(empirical_pelve_rows(np.sort(x, axis=1), n, eps))
         expected = [_per_sample_solve(row, n, eps, c_tol) for row in x]
     assert len(got) == len(expected)
     for j, (a, b) in enumerate(zip(got, expected)):
@@ -312,8 +317,8 @@ def test_batched_solve_spans_blocks():
     _assert_rows_match(x, 2, 0.05, 1e-9)
     # A column-major matrix gives the same results as a row-major one.
     rows = np.sort(x, axis=1)
-    row_major = empirical_pelve_rows(rows, 2, 0.05)
-    assert empirical_pelve_rows(np.asfortranarray(rows), 2, 0.05) == row_major
+    row_major = _results(empirical_pelve_rows(rows, 2, 0.05))
+    assert _results(empirical_pelve_rows(np.asfortranarray(rows), 2, 0.05)) == row_major
 
 
 def test_batched_solve_validates():
@@ -323,14 +328,14 @@ def test_batched_solve_validates():
         empirical_pelve_rows(np.zeros(5), 1, 0.05)
     with pytest.raises(InvalidParameter):
         empirical_pelve_rows(np.array([[0.0, math.inf]]), 1, 0.05)
-    assert empirical_pelve_rows(np.zeros((0, 5)), 1, 0.5) == []
+    assert _results(empirical_pelve_rows(np.zeros((0, 5)), 1, 0.5)) == []
     # The root search holds integers up to (m+n)^n: 150 * log2(250) > 1000.
     # Only a row that needs it is refused; the top value of `near` sits just
     # above five values tied at VaR-hat, which leaves its root open.
     near = np.array([[0.0] * 94 + [1.0] * 5 + [1.0001]])
-    assert empirical_pelve_rows(near, 100, 0.05)[0].value > 1.0
-    assert empirical_pelve_rows(np.zeros((1, 100)), 150, 0.05)[0].value == 1.0
-    assert not empirical_pelve_rows(np.arange(100.0)[None, :], 150, 0.05)[0].is_finite
+    assert empirical_pelve_rows(near, 100, 0.05).result(0).value > 1.0
+    assert empirical_pelve_rows(np.zeros((1, 100)), 150, 0.05).result(0).value == 1.0
+    assert not empirical_pelve_rows(np.arange(100.0)[None, :], 150, 0.05).result(0).is_finite
     with pytest.raises(OrderOutOfRange):
         empirical_pelve_rows(near, 150, 0.05)
 
@@ -384,7 +389,7 @@ def test_exact_solve_matches_mpmath_oracle():
     for n in (1, 2, 3, 4):
         for eps, m in ((0.05, 60), (0.13, 20), (0.3, 33), (0.1, 47)):
             x = np.sort(rng.standard_t(4.0, m))
-            got = _value(empirical_pelve_rows(x[None, :], n, eps)[0])
+            got = _value(empirical_pelve_rows(x[None, :], n, eps).result(0))
             expected = _oracle(x, n, eps)
             assert got == expected or abs(got - expected) <= 1e-12 * expected, (n, eps, m)
             checked += 1 < expected < math.inf
@@ -423,7 +428,7 @@ def test_exact_solve_tied_rows_give_one():
     rows = np.stack([tied, top_tied, -tied])
     for n in (1, 2, 3, 4):
         for eps in (0.05, 0.1, 0.25, 0.49):
-            assert [r.value for r in empirical_pelve_rows(rows, n, eps)] == [1.0] * 3
+            assert [r.value for r in _results(empirical_pelve_rows(rows, n, eps))] == [1.0] * 3
 
 
 def test_exact_solve_row_alone_equals_row_in_block():
@@ -432,13 +437,13 @@ def test_exact_solve_row_alone_equals_row_in_block():
     block[3] = 0.37  # tied
     block[5, -1] = 1e4  # one outlier: infinite
     for n in (1, 2, 3, 4):
-        together = empirical_pelve_rows(block, n, 0.07)
+        together = _results(empirical_pelve_rows(block, n, 0.07))
         assert not together[5].is_finite and together[3].value == 1.0
         assert sum(r.is_finite and r.value > 1.0 for r in together) >= 8
-        assert empirical_pelve_rows(np.asfortranarray(block), n, 0.07) == together
-        assert empirical_pelve_rows(block[::-1], n, 0.07) == together[::-1]
+        assert _results(empirical_pelve_rows(np.asfortranarray(block), n, 0.07)) == together
+        assert _results(empirical_pelve_rows(block[::-1], n, 0.07)) == together[::-1]
         for row, result in zip(block, together):
-            assert empirical_pelve_rows(row[None, :], n, 0.07) == [result]
+            assert _results(empirical_pelve_rows(row[None, :], n, 0.07)) == [result]
 
 
 def test_exact_solve_spans_the_float_range():
@@ -464,10 +469,46 @@ def test_exact_solve_checks_span_the_float_range():
     for n in (1, 2, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = empirical_pelve_rows(rows, n, 0.05)
-        small = empirical_pelve_rows(rows * 2.0 ** -10, n, 0.05)
+            got = _results(empirical_pelve_rows(rows, n, 0.05))
+        small = _results(empirical_pelve_rows(rows * 2.0 ** -10, n, 0.05))
         assert [r.value for r in got] == [r.value for r in small]
         assert got[0].value > 1.0 and not got[1].is_finite and got[2].value == 1.0
         for r, s in zip(got, small):
             assert math.isfinite(r.residual) and r.residual == s.residual * 2.0 ** 10
-    assert empirical_pelve_rows(rows[:1], 2, 0.05)[0].value == pytest.approx(3.2939338, rel=1e-7)
+    assert empirical_pelve_rows(rows[:1], 2, 0.05).result(0).value == pytest.approx(
+        3.2939338, rel=1e-7)
+
+
+def _bits(result):
+    # A PelveResult with its floats as hex strings, so == compares bits.
+    value = None if result.value is None else result.value.hex()
+    return value, result.iterations, result.residual.hex()
+
+
+def test_columns_hold_each_row_as_empirical_pelve_does():
+    # One block with infinite rows, c = 1 rows and open rows; result(i) is
+    # empirical_pelve on row i, bit for bit, and the columns agree with it.
+    rng = np.random.Generator(np.random.PCG64(11))
+    block = np.sort(rng.standard_t(2.0, (9, 60)), axis=1)
+    block[2] = 0.37  # tied: c = 1
+    block[6, -1] = 1e4  # one outlier: infinite
+    block[7] = np.linspace(-1.0, 0.0, 60)  # uniform: c = 1 at order 1
+    for n in (1, 2, 3):
+        columns = empirical_pelve_rows(block, n, 0.1)
+        assert len(columns) == 9
+        kinds = set()
+        for i, row in enumerate(block):
+            expected = empirical_pelve(OrderedSample(row), n, 0.1)
+            assert _bits(columns.result(i)) == _bits(expected), (n, i)
+            if not expected.is_finite:
+                kinds.add("inf")
+                assert columns.value[i] == math.inf
+                assert columns.iterations[i] == 0 and columns.residual[i] == 0.0
+            else:
+                kinds.add("one" if expected.value == 1.0 else "open")
+                assert columns.value[i] == expected.value
+                assert columns.iterations[i] == expected.iterations
+                assert columns.residual[i] == expected.residual
+        assert kinds == {"inf", "one", "open"}, n
+        for column in (columns.value, columns.iterations, columns.residual):
+            assert not column.flags.writeable
