@@ -560,3 +560,7 @@ def main(argv=None, out=None, err=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

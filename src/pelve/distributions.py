@@ -32,7 +32,7 @@ so results are bit-reproducible for a given seed.  Seed 0 is legal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -220,6 +220,17 @@ class _Family:
 
     level_floor = 0.0
 
+    def __post_init__(self):
+        # Every field of every family is a real number, and none admits nan
+        # or an infinity: past this check the formulas only see finite ones.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise InvalidParameter(
+                    f"{type(self).__name__} requires finite parameters, got {field.name}={value}"
+                )
+        self._check_parameters()
+
     def quantile(self, p):
         """Value at Risk at level ``p`` in (level_floor, 1): the lower
         quantile inf{x : F(x) >= p}, by the family's closed form."""
@@ -269,7 +280,7 @@ class Uniform(_Family):
     lower: float
     upper: float
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if not self.lower < self.upper:
             raise InvalidParameter("Uniform requires lower < upper")
 
@@ -299,7 +310,7 @@ class Uniform(_Family):
 class Exponential(_Family):
     rate: float
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if not self.rate > 0:
             raise InvalidParameter("Exponential requires rate > 0")
 
@@ -328,7 +339,7 @@ class Normal(_Family):
     mean: float
     stddev: float
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if not self.stddev > 0:
             raise InvalidParameter("Normal requires stddev > 0")
 
@@ -360,7 +371,7 @@ class Pareto(_Family):
     scale: float  # k, left endpoint of the support
     tail: float   # alpha; first moment needs tail > 1
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if not (self.scale > 0 and self.tail > 0):
             raise InvalidParameter("Pareto requires scale > 0 and tail > 0")
 
@@ -465,7 +476,7 @@ class GeneralizedPareto(_GPDFormulas):
     threshold = 0.0
     base_cdf_at_u = 0.0
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if not self.scale > 0:
             raise InvalidParameter("GeneralizedPareto requires scale > 0")
 
@@ -491,7 +502,7 @@ class ExcessGPD(_GPDFormulas):
     scale: float           # beta
     base_cdf_at_u: float   # F_X(u)
 
-    def __post_init__(self):
+    def _check_parameters(self):
         if self.threshold < 0:
             raise InvalidParameter("ExcessGPD requires threshold >= 0")
         if not self.scale > 0:

@@ -142,7 +142,7 @@ def empirical_pelve(sample: OrderedSample, n: int, eps: float) -> PelveResult:
     where VaR-hat sits on the sample maximum and the estimate is
     degenerate.  This is :func:`empirical_pelve_rows` on one row.
     """
-    return empirical_pelve_rows(sample.values[None, :], n, eps).result(0)
+    return _pelve_rows(sample.values[None, :], n, eps).result(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +207,12 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     ``OrderOutOfRange`` when a row needs the root search and n*log2(m+n)
     exceeds 1000, where the cell search would overflow.
     """
+    return _pelve_rows(rows, n, eps)
+
+
+def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
+    # The solve of both public entry points, each of which calls it directly,
+    # so that stacklevel=3 attributes the warning to their caller.
     _check_eps(eps)
     _check_order(n)
     # C order keeps every row's dot product a unit-stride ddot, whose sum
@@ -224,7 +230,7 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
             f"m*eps = {m * eps:.3g} < 1: empirical VaR is the sample maximum "
             "and the multiplier estimate is degenerate",
             SampleTooSmall,
-            stacklevel=2,
+            stacklevel=3,
         )
     b = rows.shape[0]
     value, residual = np.empty(b), np.empty(b)

@@ -23,12 +23,14 @@ Every coefficient is nonnegative, so the split adds no cancellation.  The
 moments do not depend on p: one table of them serves every level at or
 below b, and each level adds only its short head over (p, b).  ``pelve``
 and ``pelve_from_quantile`` build one table at b = 1 - eps for a whole
-solve; standalone ``es_n`` and ``es_n_quadrature`` are the b = (1 + p)/2
-case.  The tail runs in t = 1 - s, on panels that halve toward t = 0, and
-calls the tail quantile t -> Q(1 - t): doubles are dense near 0 but not
-near 1, and heavy tails need panels far below the float spacing at 1.  The
-head runs in s, on panels that halve toward p in its lower half and toward
-b in its upper half, and calls the quantile.  ``es_n`` hands the nodes to
+solve; ``tail_gini``, ``gini_shortfall`` and standalone ``es_n`` and
+``es_n_quadrature`` build one at b = p.  A table never sits below 1/2, so
+at p >= 1/2 a standalone ES_n is the tail moments alone, with no head.  The
+tail runs in t = 1 - s, on panels that halve toward t = 0, and calls the
+tail quantile t -> Q(1 - t): doubles are dense near 0 but not near 1, and
+heavy tails need panels far below the float spacing at 1.  The head runs
+in s, on panels that halve toward p in its lower half and toward b in its
+upper half, and calls the quantile.  ``es_n`` hands the nodes to
 the family's ``quantile`` and ``tail_quantile`` as whole arrays;
 ``es_n_quadrature`` keeps a one-float-at-a-time contract for arbitrary
 quantile callables, and without a tail callable evaluates the quantile at
@@ -236,21 +238,16 @@ def _refine(integrate: Callable, levels: int, rel_tol: float) -> tuple:
             )
 
 
-def _split_level(p: float) -> float:
-    # The split level of standalone ES_n at p: the midpoint of (p, 1), kept
-    # below 1 where that rounds up.
-    return min(0.5 * (1.0 + p), _BELOW_ONE)
-
-
 class _TailTable:
     """The tail moments m_k = M_k(b)/(1 - b)^k = integral over (b, 1) of
     ((s - b)/(1 - b))^k Q(s) ds, k < ``orders``, of one quantile at one split
     level b, from which ES_n(p) follows for every n <= ``orders`` and p <= b.
 
     The moments come from panels in t = 1 - s graded toward t = 0, refined
-    until every moment has converged; each ES_n(p) adds its own head, the
-    integral over (p, b).  The table sits at max(b, _LOWEST_SPLIT).  It
-    lives as long as its owner: nothing is kept across calls.
+    until every moment has converged; each ES_n(p) with p < b adds its own
+    head, the integral over (p, b).  The table sits at
+    max(b, _LOWEST_SPLIT).  It lives as long as its owner: nothing is kept
+    across calls.
     """
 
     def __init__(self, quantile_fn, tail_quantile_fn, orders: int, b: float, rel_tol: float):
@@ -358,8 +355,8 @@ def es_n_quadrature(
     tail_quantile_fn: Callable[[float], float] | None = None,
 ) -> EsResult:
     """Numeric n-th-order Expected Shortfall of an arbitrary quantile
-    function, by panel-graded Gauss-Legendre integration over (p, 1): the
-    head/tail split of the module docstring at b = (1 + p)/2.
+    function, by panel-graded Gauss-Legendre integration over (p, 1): one
+    tail table at p, as in the module docstring, with no head at p >= 1/2.
 
     Each part's panel count doubles until two successive refinements agree
     within ``rel_tol`` (relative to the larger of the integral and its
@@ -373,10 +370,7 @@ def es_n_quadrature(
     ``quantile_fn(1 - t)``, with levels that round to 1 lowered to the
     largest double below 1.
     """
-    _check_order(n)
-    _check_tail_level(p)
-    table = _TailTable(*_node_callables(quantile_fn, tail_quantile_fn), n, _split_level(p), rel_tol)
-    return table.es(n, p)
+    return _TailTable(*_node_callables(quantile_fn, tail_quantile_fn), n, p, rel_tol).es(n, p)
 
 
 def _es_n_upto(
@@ -408,8 +402,8 @@ def es_n(
 ) -> EsResult:
     """n-th-order Expected Shortfall: closed form when available, otherwise
     quadrature over the family's quantile function, evaluated on whole node
-    arrays, with the split at b = (1 + p)/2."""
-    return _es_n_upto(dist, n, _split_level(p), rel_tol)(p)
+    arrays, from one tail table at p, with no head at p >= 1/2."""
+    return _es_n_upto(dist, n, p, rel_tol)(p)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,17 @@ def test_cli_bad_parameter_lists_exit_1(argv):
     assert err.startswith("pelve ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, family", [("exp:inf", "Exponential"), ("normal:nan,1", "Normal")]
+)
+def test_cli_non_finite_family_parameters_exit_1(spec, family):
+    # A non-finite parameter is a usage error, caught before any formula
+    # turns it into rows of 0.0 or nan.
+    code, out, err = run_cli(["analytic", "--dist", spec])
+    assert code == 1 and out == ""
+    assert f"{family} requires finite parameters" in err and err.count("\n") == 1
+
+
 def test_cli_analytic_quantile_overflow_exits_2():
     # VaR at 0.95 of a Pareto with tail 0.003 is about 1e390, past the floats.
     code, out, err = run_cli(["analytic", "--dist", "pareto:1,0.003"])
@@ -397,3 +408,22 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["analytic", "--dist", "exp:1", "--order", "3"], ["analytic", "--dist", "bogus:1"]]
+)
+def test_cli_runs_as_a_module(argv):
+    # python -m pelve.cli behaves as the installed pelve script.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    runs = [
+        subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                       env=env, check=False)
+        for prefix in (["-m", "pelve.cli"], ["-c", "from pelve.cli import entrypoint; entrypoint()"])
+    ]
+    module, script = runs
+    assert module.stdout == script.stdout
+    assert module.returncode == script.returncode
+    assert module.stderr == script.stderr

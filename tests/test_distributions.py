@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,32 @@ def test_parameter_validation():
         ExcessGPD(-1, 0.5, 1, 0)
     with pytest.raises(InvalidParameter):
         ExcessGPD(1, 0.5, 1, 1.0)
+
+
+_VALID_PARAMETERS = [
+    (Uniform, (0.0, 1.0)),
+    (Exponential, (1.0,)),
+    (Normal, (0.0, 1.0)),
+    (Pareto, (1.0, 2.0)),
+    (GeneralizedPareto, (0.5, 1.0)),
+    (ExcessGPD, (1.0, 0.3, 1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "family, params, i",
+    [
+        pytest.param(family, params, i, id=f"{family.__name__}.{field.name}")
+        for family, params in _VALID_PARAMETERS
+        for i, field in enumerate(dataclasses.fields(family))
+    ],
+)
+def test_non_finite_parameters_are_rejected(family, params, i, bad):
+    values = list(params)
+    values[i] = bad
+    with pytest.raises(InvalidParameter, match=f"^{family.__name__} requires finite parameters"):
+        family(*values)
 
 
 def test_cdf_examples():

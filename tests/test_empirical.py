@@ -205,6 +205,20 @@ def test_empirical_pelve_small_sample_warns():
         empirical_pelve(s, 1, 0.05)  # m * eps = 0.15
 
 
+def test_small_sample_warning_points_at_the_caller():
+    x = np.arange(10.0)  # m * eps = 0.5
+    for solve in (
+        lambda: empirical_pelve(OrderedSample(x), 1, 0.05),
+        lambda: empirical_pelve_rows(x[None, :], 1, 0.05),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve()
+        [w] = caught
+        assert w.category is SampleTooSmall
+        assert w.filename == __file__
+
+
 def test_empirical_pelve_infinite_outcome():
     # one huge outlier pushes the whole-tail average past the 95% quantile
     x = list(np.arange(1.0, 100.0)) + [1e6]

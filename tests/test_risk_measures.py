@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 from pelve import (
+    DEFAULT_REL_TOL,
     EsMethod,
     ExcessGPD,
     Exponential,
@@ -187,6 +189,44 @@ def test_es_dispatch_method():
     assert es_n(Uniform(3, 5), 2, 0.0).value == pytest.approx(13 / 3, abs=1e-12)
 
 
+_SWEEP_LEVELS = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+
+
+def _check_against(result, exact, off, case):
+    # |error| within rel_tol of the exact value, and the claimed error at
+    # least the true one.
+    error = abs(mpmath.mpf(result.value) - exact)
+    if error > DEFAULT_REL_TOL * abs(exact) or result.est_abs_error < error:
+        off.append((case, result, float(error)))
+
+
+def test_standalone_es_n_near_one_is_right_and_its_estimate_honest():
+    # ES_n of GPD(k, 1) is ((1 - p)^-k n B(n, 1 - k) - 1)/k.  At p >= 1/2
+    # standalone ES_n is the tail moments alone, in t = 1 - s, so levels
+    # near 1 keep the digits of 1 - s that a head in s would lose.
+    off = []
+    with mpmath.workdps(40):
+        for k in (-0.5, 0.1, 0.3, 0.5, 0.7, 0.9):
+            dist, kappa = GeneralizedPareto(k, 1), mpmath.mpf(k)
+            for n in (3, 4, 5):
+                for p in _SWEEP_LEVELS:
+                    exact = ((1 - mpmath.mpf(p)) ** -kappa * n * mpmath.beta(n, 1 - kappa) - 1) / kappa
+                    _check_against(es_n(dist, n, p), exact, off, (k, n, p))
+        # The exponential through the scalar callables: ES_n = H_n - log(1 - p).
+        for n in (3, 4, 5):
+            for p in (0.0, 0.5, 1 - 1e-6, 1 - 1e-12):
+                result = es_n_quadrature(
+                    lambda s: -math.log1p(-s), n, p, tail_quantile_fn=lambda t: -math.log(t)
+                )
+                exact = mpmath.mpf(harmonic_number(n)) - mpmath.log1p(-mpmath.mpf(p))
+                _check_against(result, exact, off, ("exp", n, p))
+    assert off == []
+    # Within a few float spacings of 1, where a head in s cannot resolve.
+    assert es_n(GeneralizedPareto(0.5, 1), 3, 1 - 1.1e-15).value == pytest.approx(
+        192076774.6998892, rel=1e-15
+    )
+
+
 def test_quadrature_error_estimate_within_tolerance():
     d = Pareto(1, 2)
     r = es_n_quadrature(
@@ -216,25 +256,52 @@ def test_tail_gini_examples():
     assert tail_gini(Uniform(0, 1), 0.0) == pytest.approx(1 / 3, abs=1e-12)
 
 
+class _WithoutClosedForms(Normal):
+    """The normal model with its closed forms withheld, so that every order
+    goes through quadrature."""
+
+    def es_closed(self, n, p):
+        raise NoClosedForm("withheld")
+
+
+# 30-digit quantiles of the models of the Gini Shortfall test.
+_MP_QUANTILES = {
+    "normal": lambda s: mpmath.sqrt(2) * mpmath.erfinv(2 * s - 1),
+    "exponential": lambda s: -mpmath.log1p(-s),
+    "gpd": lambda s: ((1 - s) ** mpmath.mpf(-0.3) - 1) / mpmath.mpf(0.3),
+}
+
+
 def test_gini_shortfall_decomposition():
-    for dist in (Exponential(1), Uniform(0, 1), Pareto(1, 2), Normal(0, 1)):
-        for p in (0.0, 0.5, 0.9):
-            es1 = es_n(dist, 1, p).value
-            es2 = es_n(dist, 2, p).value
-            for lam in (0.0, 0.25, 0.5, 0.8):
-                gs = gini_shortfall(dist, p, GiniParams(lam))
-                assert gs == pytest.approx(
-                    (1 - 2 * lam) * es1 + 2 * lam * es2, abs=1e-10
-                )
-                assert gs == pytest.approx(
-                    es1 + lam * tail_gini(dist, p), abs=1e-10
-                )
-            assert gini_shortfall(dist, p, GiniParams(0.5)) == pytest.approx(
-                es2, abs=1e-10
-            )
-            assert gini_shortfall(dist, p, GiniParams(0.0)) == pytest.approx(
-                es1, abs=1e-10
-            )
+    # The paper's definition, ES_1 + lambda*TGini with
+    # TGini(p) = 4/(1-p)^2 * integral over (p, 1) of (s - (1+p)/2) Q(s) ds,
+    # as direct 30-digit integrals of the quantile: independent of the
+    # ES_1/ES_2 decomposition that gini_shortfall evaluates.
+    models = [
+        ("normal", Normal(0, 1)),
+        ("normal", _WithoutClosedForms(0, 1)),
+        ("exponential", Exponential(1)),
+        ("gpd", GeneralizedPareto(0.3, 1)),
+    ]
+    off = []
+    with mpmath.workdps(30):
+        for p in (0.0, 0.5, 0.9, 0.99):
+            lo = mpmath.mpf(p)
+            integrals = {}
+            for name, q in _MP_QUANTILES.items():
+                es1 = mpmath.quad(q, [lo, 1]) / (1 - lo)
+                mid = (1 + lo) / 2
+                tgini = 4 / (1 - lo) ** 2 * mpmath.quad(lambda s: (s - mid) * q(s), [lo, 1])
+                integrals[name] = es1, tgini
+            for name, dist in models:
+                assert dist.level_floor == 0.0
+                es1, tgini = integrals[name]
+                for lam in (0.0, 0.25, 0.5, 1.0):
+                    gs = gini_shortfall(dist, p, GiniParams(lam))
+                    exact = es1 + lam * tgini
+                    if abs(gs - exact) > 10 * DEFAULT_REL_TOL * max(abs(gs), 1.0):
+                        off.append((dist, p, lam, gs, float(exact)))
+    assert off == []
 
 
 def test_gini_params_coherence():
