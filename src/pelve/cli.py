@@ -71,14 +71,16 @@ from .pelve_solver import (
     DEFAULT_C_TOL,
     PelveResult,
     _check_c_tol,
-    _check_eps,
+    _check_level_eps,
     pelve_closed,
 )
 # The analytic solve, handed the ES_n of the level rows so that the two
 # share one tail table.  It keeps the name ``pelve``: the solver layer is
 # called through that module-level name, which perfbench/tracing.py wraps.
 from .pelve_solver import _pelve as pelve
-from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n, es_n_closed
+from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n_closed
+# No longer called here, but perfbench/tracing.py wraps this name.
+from .risk_measures import es_n  # noqa: F401
 
 __all__ = [
     "ReturnSeries",
@@ -262,21 +264,16 @@ def _level_grid(floor: float, eps: float):
 
 def _cmd_analytic(args, out, err) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
+    levels = _level_grid(dist.level_floor, eps)
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
-    # Rows up to 1 - eps and the solve share one tail table; rows above it
-    # stand alone.
-    es_upto = _es_n_upto(dist, n, 1.0 - eps, args.reltol)
-    for p in _level_grid(dist.level_floor, eps):
-        if args.closed_only:
-            value = es_n_closed(dist, n, p)
-        elif p <= 1.0 - eps:
-            value = es_upto(p).value
-        else:
-            value = es_n(dist, n, p, args.reltol).value
-        rows.append((f"es_{n}", p, value))
     if args.closed_only:
+        rows += [(f"es_{n}", p, es_n_closed(dist, n, p)) for p in levels]
         result = pelve_closed(dist, n, eps)
     else:
+        # One tail table at the highest level, which is at least 1 - eps,
+        # serves every row and the solve.
+        es_upto = _es_n_upto(dist, n, levels[-1], args.reltol)
+        rows += [(f"es_{n}", p, es_upto(p).value) for p in levels]
         result = pelve(dist, n, eps, args.ctol, es_upto)
     if args.format == "json":
         records = [
@@ -466,7 +463,7 @@ def _float_checked_by(check):
 
 
 _positive_int = _int_at_least(1)
-_epsilon = _float_checked_by(_check_eps)
+_epsilon = _float_checked_by(_check_level_eps)
 
 
 def _orders(text: str):
@@ -509,7 +506,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=_positive_int, default=2)
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
     p.add_argument("--replicates", type=_positive_int, required=True)
-    p.add_argument("--length", type=_positive_int, required=True)
+    p.add_argument("--length", type=_int_at_least(2), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--bins", type=_positive_int, default=30)
     p.set_defaults(fn=_cmd_simulate)

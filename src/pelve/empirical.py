@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import _check_order
 from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, SampleTooSmall
-from .pelve_solver import PelveResult, _check_eps
+from .pelve_solver import PelveResult, _check_level_eps
 
 __all__ = [
     "OrderedSample",
@@ -213,7 +213,7 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
 def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     # The solve of both public entry points, each of which calls it directly,
     # so that stacklevel=3 attributes the warning to their caller.
-    _check_eps(eps)
+    _check_level_eps(eps)
     _check_order(n)
     # C order keeps every row's dot product a unit-stride ddot, whose sum
     # order matches the one-row call; a strided ddot may round differently.

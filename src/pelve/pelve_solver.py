@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .distributions import DistributionModel, quantile
 from .errors import (
     AlphaOutOfRange,
@@ -37,11 +35,7 @@ from .risk_measures import (
     DEFAULT_REL_TOL,
     EsResult,
     _es_n_upto,
-    _graded_pair,
     _node_callables,
-    _pair_sums,
-    _refine,
-    _TAIL_LEVELS,
     _TailTable,
     es_n,
 )
@@ -95,6 +89,13 @@ def _check_eps(eps: float) -> None:
         raise LevelOutOfRange(f"epsilon must lie in (0, 1), got {eps}")
 
 
+def _check_level_eps(eps: float) -> None:
+    # The check of every caller that forms the level 1 - eps.
+    _check_eps(eps)
+    if 1.0 - eps == 1.0:
+        raise LevelOutOfRange(f"epsilon {eps} is too small: 1 - epsilon rounds to 1")
+
+
 def _check_c_tol(c_tol: float) -> None:
     if not 1e-12 <= c_tol <= 1e-3:
         raise InvalidParameter(f"c_tol must lie in [1e-12, 1e-3], got {c_tol}")
@@ -113,7 +114,7 @@ def pelve_exists(
     excess-over-threshold model the infimum is taken at the base CDF value,
     below which the model says nothing.
     """
-    _check_eps(eps)
+    _check_level_eps(eps)
     return es_n(dist, n, dist.level_floor, rel_tol).value <= quantile(dist, 1.0 - eps)
 
 
@@ -241,8 +242,8 @@ def _pelve(
     dist: DistributionModel, n: int, eps: float, c_tol: float, es: Callable[[float], EsResult]
 ) -> PelveResult:
     # The solve of pelve, with ES_n at levels up to 1 - eps from ``es`` (as
-    # from _es_n_upto at 1 - eps), which the caller may share.
-    _check_eps(eps)
+    # from _es_n_upto at some b >= 1 - eps), which the caller may share.
+    _check_level_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)
     return _solve(lambda p: es(p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
@@ -260,7 +261,7 @@ def pelve_from_quantile(
     every Expected Shortfall evaluation goes through quadrature, all from one
     tail table at 1 - eps.  An optional ``tail_quantile_fn(t)`` = quantile
     at 1 - t sharpens heavy tails (see :func:`es_n_quadrature`)."""
-    _check_eps(eps)
+    _check_level_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile_fn(1.0 - eps)
     table = _TailTable(*_node_callables(quantile_fn, tail_quantile_fn), n, 1.0 - eps, rel_tol)
@@ -300,24 +301,21 @@ def karamata_ratio(
     Serves as a numeric verification of the small-level limit that drives
     the regularly-varying asymptotics.  The substitution v = eps*u turns the
     ratio into the integral over (0, 1) of u^kappa du, so eps never enters
-    the arithmetic and cannot underflow.  The kernel has an integrable
-    singularity at 0 for kappa < 0, resolved by geometric panel grading
-    toward the origin, refined as the tail of an Expected Shortfall is, up
-    to the depth where the closing panel's nodes leave the normal floats.
+    the arithmetic and cannot underflow.  That integral is ES_1 at level 0
+    of the quantile (1 - s)^kappa, whose tail quantile is t^kappa: one tail
+    table carries the integrable singularity at t = 0 for kappa < 0 on its
+    panels graded toward 0, up to the depth where the closing panel's nodes
+    leave the normal floats.  ``rel_tol`` must lie in [1e-14, 1e-2].
     """
     if not kappa_rv > -1.0:
         raise KappaOutOfRange(f"index must exceed -1, got {kappa_rv}")
     _check_eps(eps)
-
-    def integrate(levels: int) -> tuple:
-        return _pair_sums(
-            np.ones_like, *_graded_pair(0.0, 1.0, levels), lambda u: (u ** kappa_rv)[..., None]
-        )
-
     try:
-        total = _refine(integrate, _TAIL_LEVELS, rel_tol)[0]
+        table = _TailTable(
+            lambda s: (1.0 - s) ** kappa_rv, lambda t: t ** kappa_rv, 1, 0.0, rel_tol
+        )
+        return table.es(1, 0.0).value
     except QuadratureNonConvergence:
         raise KappaOutOfRange(
             f"power integral did not converge for index {kappa_rv}"
         ) from None
-    return float(total[0])

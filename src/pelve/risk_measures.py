@@ -23,9 +23,12 @@ Every coefficient is nonnegative, so the split adds no cancellation.  The
 moments do not depend on p: one table of them serves every level at or
 below b, and each level adds only its short head over (p, b).  ``pelve``
 and ``pelve_from_quantile`` build one table at b = 1 - eps for a whole
-solve; ``tail_gini``, ``gini_shortfall`` and standalone ``es_n`` and
-``es_n_quadrature`` build one at b = p.  A table never sits below 1/2, so
-at p >= 1/2 a standalone ES_n is the tail moments alone, with no head.  The
+solve, and ``pelve analytic`` one at its highest printed level for every
+row and the solve; ``tail_gini``, ``gini_shortfall`` and standalone
+``es_n`` and ``es_n_quadrature`` build one at b = p.  A table never sits
+below 1/2, so at p >= 1/2 a standalone ES_n is the tail moments alone, with
+no head.  ``_TailTable`` is the only caller of the graded-panel kernel
+(``_graded_pair``, ``_pair_sums``, ``_refine``).  The
 tail runs in t = 1 - s, on panels that halve toward t = 0, and calls the
 tail quantile t -> Q(1 - t): doubles are dense near 0 but not near 1, and
 heavy tails need panels far below the float spacing at 1.  The head runs
@@ -96,8 +99,8 @@ class GiniParams:
     loading: float
 
     def __post_init__(self):
-        if self.loading < 0:
-            raise InvalidParameter("Gini loading must be >= 0")
+        if not 0.0 <= self.loading < math.inf:
+            raise InvalidParameter(f"Gini loading must be finite and >= 0, got {self.loading}")
 
     @property
     def is_coherent(self) -> bool:

@@ -427,3 +427,29 @@ def test_cli_runs_as_a_module(argv):
     assert module.stdout == script.stdout
     assert module.returncode == script.returncode
     assert module.stderr == script.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--dist", "normal:0,1"],
+        ["empirical", "--input", str(DATA), "--kind", "returns"],
+        ["rolling", "--input", str(DATA), "--kind", "returns"],
+        ["simulate", "--dist", "normal:0,1", "--replicates", "3", "--length", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_epsilon_whose_level_rounds_to_one_exits_1(argv):
+    code, out, err = run_cli(argv + ["--epsilon", "1e-17"])
+    assert code == 1 and out == ""
+    assert err == (
+        f"pelve {argv[0]}: argument --epsilon: "
+        "epsilon 1e-17 is too small: 1 - epsilon rounds to 1\n"
+    )
+
+
+def test_cli_simulate_length_below_two_exits_1():
+    code, out, err = run_cli(["simulate", "--dist", "normal:0,1", "--replicates", "3",
+                              "--length", "1"])
+    assert code == 1 and out == ""
+    assert err == "pelve simulate: argument --length: must be >= 2, got 1\n"

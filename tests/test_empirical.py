@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pelve import (
     Exponential,
+    Normal,
     InvalidParameter,
     LevelOutOfRange,
     OrderOutOfRange,
@@ -21,6 +22,11 @@ from pelve import (
     empirical_var,
     es_n_weights,
     is_degenerate,
+    karamata_ratio,
+    pelve,
+    pelve_closed,
+    pelve_exists,
+    pelve_from_quantile,
     sample,
 )
 from pelve.empirical import block_rows
@@ -526,3 +532,22 @@ def test_columns_hold_each_row_as_empirical_pelve_does():
         assert kinds == {"inf", "one", "open"}, n
         for column in (columns.value, columns.iterations, columns.residual):
             assert not column.flags.writeable
+
+
+def test_epsilon_whose_level_rounds_to_one_is_rejected():
+    # 1 - 1e-17 == 1.0: every solve that forms the level 1 - eps names
+    # epsilon instead of failing on the level it formed.
+    x = np.arange(1.0, 11.0)
+    calls = [
+        lambda: pelve(Normal(0, 1), 2, 1e-17),
+        lambda: pelve_from_quantile(lambda s: s, 2, 1e-17),
+        lambda: pelve_exists(Normal(0, 1), 2, 1e-17),
+        lambda: empirical_pelve(OrderedSample(x), 2, 1e-17),
+        lambda: empirical_pelve_rows(x[None, :], 2, 1e-17),
+    ]
+    for call in calls:
+        with pytest.raises(LevelOutOfRange, match="epsilon 1e-17 is too small"):
+            call()
+    # Neither of these forms 1 - eps, so both still take it.
+    assert karamata_ratio(0.5, 1e-17) == pytest.approx(1.0 / 1.5, rel=1e-10)
+    assert pelve_closed(Uniform(0, 1), 2, 1e-17).value == 3.0

@@ -312,6 +312,14 @@ def test_gini_params_coherence():
         GiniParams(-0.1)
 
 
+@pytest.mark.parametrize("loading", [math.nan, math.inf, -math.inf])
+def test_gini_params_reject_a_non_finite_loading(loading):
+    # nan fails every comparison, so a sign check alone would pass it on to
+    # gini_shortfall, which would return nan.
+    with pytest.raises(InvalidParameter, match="finite"):
+        GiniParams(loading)
+
+
 def _gpd_ratio(kappa, p):
     d = GeneralizedPareto(kappa, 1)
     return es_n_closed(d, 2, p) / quantile(d, p)
