@@ -265,16 +265,19 @@ def _level_grid(floor: float, eps: float):
 def _cmd_analytic(args, out, err) -> int:
     dist, n, eps = args.dist, args.order, args.epsilon
     levels = _level_grid(dist.level_floor, eps)
-    rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
+    # The multiplier comes first, so that its checks of eps against the
+    # model come before any row's.
     if args.closed_only:
-        rows += [(f"es_{n}", p, es_n_closed(dist, n, p)) for p in levels]
         result = pelve_closed(dist, n, eps)
+        es = [es_n_closed(dist, n, p) for p in levels]
     else:
         # One tail table at the highest level, which is at least 1 - eps,
         # serves every row and the solve.
         es_upto = _es_n_upto(dist, n, levels[-1], args.reltol)
-        rows += [(f"es_{n}", p, es_upto(p).value) for p in levels]
         result = pelve(dist, n, eps, args.ctol, es_upto)
+        es = [es_upto(p).value for p in levels]
+    rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
+    rows += [(f"es_{n}", p, v) for p, v in zip(levels, es)]
     if args.format == "json":
         records = [
             {"metric": m, "level": lvl, "value": v} for m, lvl, v in rows

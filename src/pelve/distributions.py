@@ -15,8 +15,12 @@ Each family class is the one home of its formulas.  ``quantile(p)`` and
 ``tail_quantile(t)`` (the quantile at 1 - t) map a float to a Python float
 and a numpy array to an array of the same shape.  ``es_closed(n, p)`` and
 ``closed_multiplier(n)`` give ES_n and PELVE_n in closed form, or raise
-NoClosedForm.  ``level_floor`` is the lowest level the model describes:
-base_cdf_at_u for ExcessGPD, 0 elsewhere.
+NoClosedForm: the normal has ES_n at orders 1 and 2 only, and no
+multiplier; every other family has both at every order, Pareto and the
+generalized-Pareto types from one kernel moment S_n = n B(n, 1 - kappa)
+(``_kernel_moment``) while their tail has a first moment.  ``level_floor``
+is the lowest level the model describes: base_cdf_at_u for ExcessGPD, 0
+elsewhere.
 
 All quantiles are closed-form.  The normal quantile is Wichura's AS241
 (PPND16, Applied Statistics 37, 1988): a rational function of p - 1/2 in the
@@ -73,6 +77,24 @@ def harmonic_number(n: int) -> float:
     return sum(1.0 / k for k in range(1, n + 1))
 
 
+def _kernel_moment(n: int, k: float) -> tuple[float, float]:
+    """S_n = n B(n, 1 - k) = prod over j <= n of j/(j - k), and log S_n.
+
+    S_n is ES_n of the tail quantile x^-k, x = 1 - s, at level 0, so every
+    generalized-Pareto-type ES_n and PELVE_n follows from it: the quantile
+    u + (beta/k)(x^-k - 1) has ES_n = u + (beta/k)(x^-k S_n - 1), and
+    PELVE_n = S_n^(1/k).  Every factor is positive.  The log is summed as
+    log1p(k/(j - k)), which keeps the digits of a small k.  A tail of shape
+    k >= 1 has no first moment, and no closed form.
+    """
+    if k >= 1.0:
+        raise NoClosedForm(f"no closed form: the tail x^-{k} has no first moment")
+    s = 1.0
+    for j in range(1, n + 1):
+        s *= j / (j - k)
+    return s, math.fsum(math.log1p(k / (j - k)) for j in range(1, n + 1))
+
+
 # Floats go through plain comparisons and ``math``: numpy on one float costs
 # several times the formula itself, and its vectorised log may differ from
 # libm by an ulp.  Arrays go through numpy.
@@ -87,6 +109,10 @@ def _log(x):
 
 def _log1p(x):
     return np.log1p(x) if isinstance(x, np.ndarray) else math.log1p(x)
+
+
+def _expm1(x):
+    return np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x)
 
 
 # AS241's three rational approximations, numerator and denominator
@@ -386,23 +412,13 @@ class Pareto(_Family):
     def _tail_quantile(self, t):
         return self.scale * t ** (-1.0 / self.tail)
 
-    def _order_sum(self, n: int) -> float:
-        # n * sum_j C(n-1, j) (-1)^j / (j + 1 - 1/alpha); every denominator is
-        # positive for alpha > 1.
-        if self.tail <= 1.0:
-            raise NoClosedForm("Pareto needs tail > 1 for a first moment")
-        inv = 1.0 / self.tail
-        return n * sum(
-            math.comb(n - 1, j) * (-1.0) ** j / (j + 1.0 - inv) for j in range(n)
-        )
-
     def es_closed(self, n: int, p: float) -> float:
         """Closed-form ES_n at level p in [0, 1), for tail > 1."""
-        s = self._order_sum(n)
+        s, _ = _kernel_moment(n, 1.0 / self.tail)
         return self.scale * s * (1.0 - p) ** (-1.0 / self.tail)
 
     def closed_multiplier(self, n: int) -> tuple[float, float]:
-        s = self._order_sum(n)
+        s, _ = _kernel_moment(n, 1.0 / self.tail)
         return s ** self.tail, s ** -self.tail
 
 
@@ -416,53 +432,40 @@ class _GPDFormulas(_Family):
         return self.base_cdf_at_u
 
     def _quantile(self, p):
-        k, b, u, fu = self.shape, self.scale, self.threshold, self.base_cdf_at_u
-        if k == 0.0:
-            # log1p keeps the plain GPD (fu = 0) accurate for small p.
-            return u - b * (_log1p(-p) - math.log1p(-fu))
-        return u + (b / k) * (((1.0 - p) / (1.0 - fu)) ** (-k) - 1.0)
+        return self._excess(_log1p(-p) - math.log1p(-self.base_cdf_at_u))
 
     def _tail_quantile(self, t):
-        k, b, u, fu = self.shape, self.scale, self.threshold, self.base_cdf_at_u
-        ratio = t / (1.0 - fu)
+        return self._excess(_log(t) - math.log1p(-self.base_cdf_at_u))
+
+    def _excess(self, log_x, log_s=0.0, h=0.0):
+        # u + (beta/kappa)(S x^-kappa - 1) at x = (1 - s)/(1 - F(u)), given as
+        # log x, and S = exp(log_s): the quantile at s for S = 1, ES_n at s
+        # for S = S_n.  At kappa = 0 it is the limit u + beta(h - log x), h
+        # the derivative of log S in kappa at 0 (H_n for S_n).  expm1 keeps
+        # the digits of a small kappa.
+        k, b, u = self.shape, self.scale, self.threshold
         if k == 0.0:
-            return u - b * _log(ratio)
-        return u + (b / k) * (ratio ** -k - 1.0)
+            return u + b * (h - log_x)
+        return u + (b / k) * _expm1(log_s - k * log_x)
 
     def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [base_cdf_at_u, 1), orders 1 and 2,
+        """Closed-form ES_n at level p in [base_cdf_at_u, 1), every order,
         for shape < 1."""
-        k, b, u, fu = self.shape, self.scale, self.threshold, self.base_cdf_at_u
-        if k >= 1.0:
-            raise NoClosedForm("generalized Pareto needs shape < 1 for a first moment")
+        k, fu = self.shape, self.base_cdf_at_u
+        _, log_s = _kernel_moment(n, k)
         if p < fu:
             # The excess model is silent below its threshold; p = fu itself is
             # fine (the ES then averages the whole modeled tail).
             raise LevelOutOfRange(
                 f"excess model requires level >= base_cdf_at_u={fu}, got {p}"
             )
-        var_p = self._quantile(p)  # unchecked, so p = fu gives the threshold
-        if n == 1:
-            return var_p / (1.0 - k) + (b - k * u) / (1.0 - k)
-        if n == 2:
-            if k == 0.0:
-                return var_p + 1.5 * b
-            scaled = ((1.0 - p) / (1.0 - fu)) ** (-k)
-            return var_p + b * (3.0 - k) / ((1.0 - k) * (2.0 - k)) * scaled
-        raise NoClosedForm(f"no closed generalized-Pareto form for order {n}")
+        h = harmonic_number(n) if k == 0.0 else 0.0
+        return self._excess(math.log1p(-p) - math.log1p(-fu), log_s, h)
 
     def closed_multiplier(self, n: int) -> tuple[float, float]:
-        if n != 2:
-            raise NoClosedForm(
-                "generalized-Pareto closed form is available at order 2 only"
-            )
         k = self.shape
-        if k >= 1.0:
-            raise NoClosedForm("generalized Pareto needs shape < 1")
-        if k == 0.0:
-            value = math.exp(1.5)
-        else:
-            value = (2.0 / ((1.0 - k) * (2.0 - k))) ** (1.0 / k)
+        s, _ = _kernel_moment(n, k)
+        value = math.exp(harmonic_number(n)) if k == 0.0 else s ** (1.0 / k)
         # The applicable eps range is scaled down by the survival mass above
         # the threshold; the endpoint is treated as attained.
         return value, (1.0 - self.base_cdf_at_u) / value

@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .distributions import DistributionModel, quantile
+from .distributions import DistributionModel, _check_order, _kernel_moment, quantile
 from .errors import (
     AlphaOutOfRange,
+    ExcessGPDLevelBelowBase,
     InvalidParameter,
     KappaOutOfRange,
     LevelOutOfRange,
@@ -96,6 +97,16 @@ def _check_level_eps(eps: float) -> None:
         raise LevelOutOfRange(f"epsilon {eps} is too small: 1 - epsilon rounds to 1")
 
 
+def _check_var_level(dist: DistributionModel, eps: float) -> None:
+    # The check of every analytic caller that takes VaR at 1 - eps, which
+    # must lie above the lowest level the model describes.
+    if not 1.0 - eps > dist.level_floor:
+        raise ExcessGPDLevelBelowBase(
+            f"epsilon {eps} is too large: 1 - epsilon must exceed "
+            f"base_cdf_at_u={dist.level_floor}"
+        )
+
+
 def _check_c_tol(c_tol: float) -> None:
     if not 1e-12 <= c_tol <= 1e-3:
         raise InvalidParameter(f"c_tol must lie in [1e-12, 1e-3], got {c_tol}")
@@ -115,6 +126,7 @@ def pelve_exists(
     below which the model says nothing.
     """
     _check_level_eps(eps)
+    _check_var_level(dist, eps)
     return es_n(dist, n, dist.level_floor, rel_tol).value <= quantile(dist, 1.0 - eps)
 
 
@@ -244,6 +256,7 @@ def _pelve(
     # The solve of pelve, with ES_n at levels up to 1 - eps from ``es`` (as
     # from _es_n_upto at some b >= 1 - eps), which the caller may share.
     _check_level_eps(eps)
+    _check_var_level(dist, eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)
     return _solve(lambda p: es(p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
@@ -269,11 +282,14 @@ def pelve_from_quantile(
 
 
 def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
-    """Closed-form multiplier where the family admits one: uniform,
-    exponential and Pareto at every order; generalized-Pareto-type models
-    at order 2.  Below the family threshold the value is a constant
-    independent of eps; above it the result is infinite."""
+    """Closed-form multiplier where the family admits one: every order of
+    the uniform, the exponential, Pareto (tail > 1) and the
+    generalized-Pareto types (shape < 1), the last two from one kernel
+    moment; none for the normal.  Below the family threshold the value is a
+    constant independent of eps; above it the result is infinite."""
+    _check_order(n)
     _check_eps(eps)
+    _check_var_level(dist, eps)
     value, threshold = dist.closed_multiplier(n)
     if eps <= threshold:
         return PelveResult.finite(value)
@@ -283,13 +299,15 @@ def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
 def pelve2_rv_limit(alpha: float) -> float:
     """Small-level limit of the order-2 multiplier for a nonnegative random
     variable with a regularly varying tail of index alpha > 1:
-    (2*alpha^2 / ((alpha-1)*(2*alpha-1)))^alpha.
+    (2*alpha^2 / ((alpha-1)*(2*alpha-1)))^alpha, the PELVE_2 of
+    Pareto(., alpha), computed as exp(alpha * log S_2(1/alpha)) so that a
+    large alpha keeps its digits.
 
     Strictly decreasing in alpha with infimum e^(3/2).
     """
     if not alpha > 1.0:
         raise AlphaOutOfRange(f"tail index must exceed 1, got {alpha}")
-    return (2.0 * alpha * alpha / ((alpha - 1.0) * (2.0 * alpha - 1.0))) ** alpha
+    return math.exp(alpha * _kernel_moment(2, 1.0 / alpha)[1])
 
 
 def karamata_ratio(

@@ -5,10 +5,12 @@ The n-th-order Expected Shortfall at level p averages the quantile function
 over (p, 1) under the kernel n*(s-p)^(n-1)/(1-p)^n, which integrates to one.
 Order 1 is the usual Expected Shortfall.
 
-Closed forms exist for uniform, exponential and Pareto at every order, for
-the normal at orders 1 and 2, and for generalized-Pareto-type models
-(shape < 1) at orders 1 and 2; each family class carries its own as
-``es_closed``.  Everything else goes through composite Gauss-Legendre
+Closed forms exist for uniform and exponential at every order, for the
+normal at orders 1 and 2, and for Pareto (tail > 1) and
+generalized-Pareto-type models (shape < 1) at every order, the last two from
+one kernel moment; each family class carries its own as ``es_closed``.
+Everything else (the normal at orders 3 and up, tails without a first
+moment, and any quantile callable) goes through composite Gauss-Legendre
 quadrature on geometrically graded panels, which resolve the integrable
 endpoint singularities of heavy-tailed quantile functions.
 

@@ -217,6 +217,30 @@ def test_cli_analytic_excess_gpd_starts_at_base_level():
     assert rows[-1][0] == "pelve_2" and float(rows[-1][2]) == pytest.approx(closed, abs=1e-6)
 
 
+@pytest.mark.parametrize("closed_only", [[], ["--closed-only"]], ids=["solve", "closed-only"])
+def test_cli_analytic_epsilon_above_the_excess_model_exits_2(closed_only):
+    # 1 - eps = 0.95 lies below F(u) = 0.97: the solve's check names both,
+    # before any row asks for a quantile there.
+    code, out, err = run_cli(
+        ["analytic", "--dist", "excessgpd:1,0.3,1,0.97", *closed_only]
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "pelve: epsilon 0.05 is too large: 1 - epsilon must exceed base_cdf_at_u=0.97\n"
+    )
+
+
+def test_cli_analytic_closed_only_generalized_pareto_at_order_3():
+    code, out, err = run_cli(
+        ["analytic", "--dist", "gpd:0.5,1", "--order", "3", "--closed-only"]
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[-1][0] == "pelve_3" and float(rows[-1][2]) == pytest.approx(10.24, rel=1e-15)
+    assert [row[:2] for row in rows[1:3]] == [["es_3", "0.0"], ["es_3", "0.5"]]
+    assert float(rows[1][2]) == pytest.approx(4.4, rel=1e-15)  # (3 B(3, 1/2) - 1)/(1/2)
+
+
 def test_cli_usage_errors_exit_1():
     code, _, err = run_cli([])
     assert code == 1 and err

@@ -3,8 +3,9 @@ copies in tests/data/golden/.
 
 Each case runs the command line in a fresh interpreter on this checkout's
 ``src``, so warnings and anything else the process writes count too.  The
-stored copies are rewritten with ``python tests/test_cli_golden.py``; a
-change that alters them must say why.
+stored copies are rewritten with ``python tests/test_cli_golden.py``, which
+prints the name of each case whose record changed; a change that alters
+them must say why.
 """
 
 import json
@@ -100,7 +101,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         inputs = _inputs(Path(tmp))
         for name, argv in CASES.items():
-            record = {"argv": argv, **_run(argv, inputs)}
-            (GOLDEN / f"{name}.json").write_text(
-                json.dumps(record, indent=1) + "\n", encoding="utf-8"
-            )
+            path = GOLDEN / f"{name}.json"
+            text = json.dumps({"argv": argv, **_run(argv, inputs)}, indent=1) + "\n"
+            if not path.exists() or path.read_text(encoding="utf-8") != text:
+                print(f"changed: {name}")
+                path.write_text(text, encoding="utf-8")

@@ -18,8 +18,9 @@ def _analytic(*argv: str) -> str:
     return out.getvalue()
 
 
-# The analytic-quad workload's cases (no closed form at order 3), and one
-# whose top printed level is 1 - eps.
+# The analytic-quad workload's cases, and one whose top printed level is
+# 1 - eps.  The normal has no closed form at order 3; the generalized-Pareto
+# types have one at every order and build no table.
 @pytest.mark.parametrize(
     "dist, eps, top",
     [
@@ -32,7 +33,7 @@ def _analytic(*argv: str) -> str:
 def test_analytic_builds_one_table_at_the_top_printed_level(dist, eps, top, monkeypatch):
     built = _counting_tables(monkeypatch)
     _analytic("--dist", dist, "--order", "3", "--epsilon", eps)
-    assert built == [top]
+    assert built == ([top] if dist.startswith("normal") else [])
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,14 @@ import pytest
 from pelve import (
     AlphaOutOfRange,
     ExcessGPD,
+    ExcessGPDLevelBelowBase,
     Exponential,
     GeneralizedPareto,
     KappaOutOfRange,
     LevelOutOfRange,
     NoClosedForm,
     Normal,
+    OrderOutOfRange,
     Pareto,
     QuadratureNonConvergence,
     Uniform,
@@ -120,10 +122,38 @@ def test_pelve_closed_excess_gpd_threshold_scales_with_base():
 def test_pelve_closed_no_form_cases():
     with pytest.raises(NoClosedForm):
         pelve_closed(Normal(0, 1), 2, 0.05)
-    with pytest.raises(NoClosedForm):
-        pelve_closed(GeneralizedPareto(0.5, 1), 3, 0.05)
+    for shape in (1.0, 1.5):
+        with pytest.raises(NoClosedForm):
+            pelve_closed(GeneralizedPareto(shape, 1), 3, 0.05)
     with pytest.raises(NoClosedForm):
         pelve_closed(Pareto(1, 0.9), 2, 0.05)
+
+
+def test_pelve_closed_covers_every_generalized_pareto_order():
+    # PELVE_n = S_n^(1/k), S_n = prod_{j <= n} j/(j - k): 10.24 for k = 1/2
+    # at order 3, against the solve on the quadrature of the family's
+    # quantiles.
+    dist = GeneralizedPareto(0.5, 1)
+    closed = pelve_closed(dist, 3, 0.05)
+    assert closed.value == pytest.approx(10.24, rel=1e-15)
+    solved = pelve_from_quantile(dist.quantile, 3, 0.05, tail_quantile_fn=dist.tail_quantile)
+    assert solved.value == pytest.approx(closed.value, abs=1e-7)
+    assert pelve_closed(ExcessGPD(1, 0.5, 2, 0.5), 4, 0.01).value == pytest.approx(
+        (4 * 3 * 2 / (3.5 * 2.5 * 1.5 * 0.5)) ** 2, rel=1e-14
+    )
+    with pytest.raises(OrderOutOfRange):
+        pelve_closed(dist, 0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "call", [pelve, pelve_exists, pelve_closed], ids=lambda f: f.__name__
+)
+def test_epsilon_above_the_excess_model_is_one_typed_error(call):
+    # 1 - eps = 0.95 lies below F(u) = 0.97, where the model says nothing.
+    with pytest.raises(ExcessGPDLevelBelowBase, match=r"epsilon 0\.05 .*base_cdf_at_u=0\.97"):
+        call(ExcessGPD(1, 0.3, 1, 0.97), 2, 0.05)
+    with pytest.raises(ExcessGPDLevelBelowBase, match="epsilon 0.5"):
+        call(ExcessGPD(1, 0.3, 1, 0.5), 2, 0.5)
 
 
 def test_pelve_agrees_with_closed():
@@ -369,10 +399,13 @@ def test_pelve_from_quantile_overflow_is_typed():
 
 
 def test_pelve_quadrature_solves_take_few_steps():
-    # The analytic-quad benchmark cases: no closed form, so every step is a
-    # graded quadrature; bisection took 30 steps on each.
+    # The analytic-quad benchmark cases, each step on a graded quadrature of
+    # the family's quantiles (the generalized-Pareto types have closed forms,
+    # which pelve takes); bisection took 30 steps on each.
     for dist in (Normal(0, 1), GeneralizedPareto(0.5, 1), ExcessGPD(1, 0.3, 1, 0)):
         assert pelve(dist, 3, 0.05).iterations <= 12, dist
+        quad = pelve_from_quantile(dist.quantile, 3, 0.05, tail_quantile_fn=dist.tail_quantile)
+        assert quad.iterations <= 12, dist
 
 
 def test_pelve_steps_stay_far_below_bisection():

@@ -13,6 +13,7 @@ import pytest
 import pelve.risk_measures as risk_measures
 from pelve import (
     DEFAULT_REL_TOL,
+    EsMethod,
     ExcessGPD,
     GeneralizedPareto,
     GiniParams,
@@ -26,7 +27,7 @@ from pelve import (
     tail_gini,
 )
 from pelve.cli import _parse_dist
-from pelve.risk_measures import _es_n_upto
+from pelve.risk_measures import _es_n_upto, _family_callables
 
 DATA = Path(__file__).parent / "data"
 REFERENCES = json.loads(
@@ -44,16 +45,25 @@ def _close(got: float, expected: float) -> bool:
     return abs(got - expected) <= DEFAULT_REL_TOL * max(abs(expected), 1.0)
 
 
+def _table_es(dist, n: int, b: float, p: float):
+    # ES_n at p <= b from one tail table at b on the family's array
+    # callables, whether or not the family has a closed form.
+    return risk_measures._TailTable(*_family_callables(dist), n, b, DEFAULT_REL_TOL).es(n, p)
+
+
 @pytest.mark.parametrize("spec", sorted({row[0] for row in TWO_HALF}))
 def test_table_matches_the_two_half_quadrature(spec):
     dist = _parse_dist(spec)
     off = []
     for _, n, eps, p, before in (row for row in TWO_HALF if row[0] == spec):
         b = 1.0 - eps
-        # Levels above b take the standalone path, as in pelve analytic.
+        # Levels above b take the standalone path, as in pelve analytic; the
+        # generalized-Pareto types take their closed forms on both, and a
+        # table on their quantiles besides.
         table = _es_n_upto(dist, n, b)(p).value if p <= b else None
         standalone = es_n(dist, n, p).value
-        for got in (table, standalone):
+        quadrature = _table_es(dist, n, max(b, p), p).value
+        for got in (table, standalone, quadrature):
             if got is not None and not _close(got, before):
                 off.append((n, eps, p, got, before))
     assert off == []
@@ -72,15 +82,20 @@ def test_divergent_models_still_raise(shape):
 def test_quadrature_rows_are_within_rel_tol_and_their_estimate(key):
     # The ES rows of pelve analytic on the benchmark's quadrature cases: the
     # rows up to 1 - eps from one table, the 0.99 row standalone.
+    # The generalized-Pareto types take their closed forms there, so their
+    # rows also come from a table on their quantiles, whose estimate is
+    # checked.
     ref = REFERENCES[key]
     dist, n, b = _parse_dist(ref["dist"]), ref["order"], 1.0 - float(ref["epsilon"])
     es_upto = _es_n_upto(dist, n, b)
     for level, value in ref["es"].items():
         p, exact = float(level), Fraction(value)
-        result = es_upto(p) if p <= b else es_n(dist, n, p)
-        error = abs(Fraction(result.value) - exact)
-        assert error <= Fraction(DEFAULT_REL_TOL) * max(abs(exact), 1), (level, result)
-        assert Fraction(result.est_abs_error) >= error, (level, result, float(error))
+        row = es_upto(p) if p <= b else es_n(dist, n, p)
+        for result in (row, _table_es(dist, n, max(b, p), p)):
+            error = abs(Fraction(result.value) - exact)
+            assert error <= Fraction(DEFAULT_REL_TOL) * max(abs(exact), 1), (level, result)
+            if result.method is EsMethod.QUADRATURE:
+                assert Fraction(result.est_abs_error) >= error, (level, result, float(error))
 
 
 def _counting_tables(monkeypatch) -> list:
@@ -196,11 +211,14 @@ def test_heavy_tails_are_right_or_raise(shape):
     # ES_n(p) = ((1 - p)^-k n B(n, 1 - k) - 1)/k for GPD(k, 1).  Near k = 1
     # the grading reaches the float limits before the tail converges; the
     # last comparison must then still see the closing panel's share.
+    # The closed form holds at every shape below 1.
     n, p = 3, 0.5
+    dist = GeneralizedPareto(shape, 1)
     beta = math.gamma(n) * math.gamma(1.0 - shape) / math.gamma(n + 1.0 - shape)
     exact = ((1.0 - p) ** -shape * n * beta - 1.0) / shape
+    assert _close(es_n(dist, n, p).value, exact)
     try:
-        got = es_n(GeneralizedPareto(shape, 1), n, p).value
+        got = _table_es(dist, n, p, p).value
     except QuadratureNonConvergence:
         return
     assert _close(got, exact), (got, exact)
