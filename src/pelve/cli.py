@@ -9,8 +9,9 @@ simulate    Seeded replicate study of the empirical multiplier.
 rolling     Windowed multiplier series over daily returns.
 
 Global flags: --format csv|json, --ctol (tolerance of the bracketing
-solve of ``analytic``; the empirical solves are exact), --reltol (quadrature
-tolerance).  Exit codes: 0 success, 1 usage error, 2 data error.
+solve of ``analytic``; the empirical solves are exact).  Every ``analytic``
+value comes from the family's closed forms, so there is no quadrature
+tolerance.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Input CSV is UTF-8 with a mandatory ``date,price`` or ``date,return``
 header; dates are ISO-8601 and strictly increasing.  Return values are
@@ -72,15 +73,10 @@ from .pelve_solver import (
     PelveResult,
     _check_c_tol,
     _check_level_eps,
+    pelve,
     pelve_closed,
 )
-# The analytic solve, handed the ES_n of the level rows so that the two
-# share one tail table.  It keeps the name ``pelve``: the solver layer is
-# called through that module-level name, which perfbench/tracing.py wraps.
-from .pelve_solver import _pelve as pelve
-from .risk_measures import DEFAULT_REL_TOL, _check_rel_tol, _es_n_upto, es_n_closed
-# No longer called here, but perfbench/tracing.py wraps this name.
-from .risk_measures import es_n  # noqa: F401
+from .risk_measures import es_n
 
 __all__ = [
     "ReturnSeries",
@@ -267,15 +263,8 @@ def _cmd_analytic(args, out, err) -> int:
     levels = _level_grid(dist.level_floor, eps)
     # The multiplier comes first, so that its checks of eps against the
     # model come before any row's.
-    if args.closed_only:
-        result = pelve_closed(dist, n, eps)
-        es = [es_n_closed(dist, n, p) for p in levels]
-    else:
-        # One tail table at the highest level, which is at least 1 - eps,
-        # serves every row and the solve.
-        es_upto = _es_n_upto(dist, n, levels[-1], args.reltol)
-        result = pelve(dist, n, eps, args.ctol, es_upto)
-        es = [es_upto(p).value for p in levels]
+    result = pelve_closed(dist, n, eps) if args.closed_only else pelve(dist, n, eps, args.ctol)
+    es = [es_n(dist, n, p).value for p in levels]
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps))]
     rows += [(f"es_{n}", p, v) for p, v in zip(levels, es)]
     if args.format == "json":
@@ -485,11 +474,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--ctol", type=_float_checked_by(_check_c_tol), default=DEFAULT_C_TOL,
                         help="tolerance of the bracketing solve for the multiplier, relative "
                              "to its range (analytic only; the empirical solves are exact)")
-    parser.add_argument("--reltol", type=_float_checked_by(_check_rel_tol), default=DEFAULT_REL_TOL,
-                        help="relative tolerance of the quadrature fallback")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("analytic", help="closed-form / quadrature queries")
+    p = sub.add_parser("analytic", help="closed-form queries")
     p.add_argument("--dist", type=_parse_dist, required=True)
     p.add_argument("--order", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)

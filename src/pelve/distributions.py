@@ -15,19 +15,20 @@ Each family class is the one home of its formulas.  ``quantile(p)`` and
 ``tail_quantile(t)`` (the quantile at 1 - t) map a float to a Python float
 and a numpy array to an array of the same shape.  ``es_closed(n, p)`` and
 ``closed_multiplier(n)`` give ES_n and PELVE_n in closed form, or raise
-NoClosedForm: the normal has ES_n at orders 1 and 2 only, and no
-multiplier; every other family has both at every order, Pareto and the
-generalized-Pareto types from one kernel moment S_n = n B(n, 1 - kappa)
-(``_kernel_moment``) while their tail has a first moment.  ``level_floor``
-is the lowest level the model describes: base_cdf_at_u for ExcessGPD, 0
-elsewhere.
+NoClosedForm.  Every family has ES_n at every order while its tail has a
+first moment; Pareto and the generalized-Pareto types take theirs from one
+kernel moment S_n = n B(n, 1 - kappa) (``_kernel_moment``).  The normal has
+no closed multiplier.  ``level_floor`` is the lowest level the model
+describes: base_cdf_at_u for ExcessGPD, 0 elsewhere.
 
 All quantiles are closed-form.  The normal quantile is Wichura's AS241
 (PPND16, Applied Statistics 37, 1988): a rational function of p - 1/2 in the
 body and of sqrt(-log(min(p, 1 - p))) in the tails, within 1e-15 relative
 of the exact quantile for min(p, 1 - p) down to 1e-300.  The normal CDF and
 the tail 1 - Phi(sqrt(2) z) of the order-2 ES are complementary error
-functions (``math.erfc``).
+functions (``math.erfc``).  The normal ES_n at orders 3 and up is a smooth
+one-dimensional integral of erfc (``_normal_es``), which a fixed
+Gauss-Legendre panel rule gives to a few ulps.
 
 Sampling is inverse-transform with a fixed, named 64-bit generator (PCG64),
 so results are bit-reproducible for a given seed.  Seed 0 is legal.
@@ -216,6 +217,62 @@ def _ndtri_array(p: np.ndarray) -> np.ndarray:
     return z.reshape(p.shape)
 
 
+# The 15-node Gauss-Legendre rule: node positions in a panel as fractions
+# of its width from its lower edge, and weights summing to 2 over a panel.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
+# The same rule as (fraction, weight/2) pairs of Python floats.
+_GL_PAIRS = tuple(zip(_GL_FRACTIONS.tolist(), (0.5 * _GL_WEIGHTS).tolist()))
+_SQRT2 = math.sqrt(2.0)
+
+
+def _normal_es(n: int, p: float) -> float:
+    """Standard normal ES_n at level p in [0, 1), for orders n >= 3.
+
+    Substituting s = Phi(u) in the ES_n integral and integrating by parts
+    (u phi(u) = -phi'(u)) gives
+
+        ES_n(p) = n (n-1)/(1-p)^2 * integral over (z_p, inf) of v^(n-2) phi(u)^2 du,
+
+    v = (Phi(u) - p)/(1 - p), z_p = Phi^-1(p) (-inf at p = 0).  In
+    x = u/sqrt(2) the integrand is v^(n-2) exp(-2 x^2)/(2 pi (1-p)^2) with
+    v = 1 - t, t = erfc(x)/(2 (1 - p)), so erfc takes each node exactly.
+    v^(n-2) is exp((n-2) log1p(-t)), which keeps the digits of t at high
+    orders, and exp(-x^2)/(1 - p) is formed about an anchor r, x_p rounded to
+    20 fraction bits, whose square is exact.  The integrand is smooth and
+    falls like exp(-2 x^2): panels start at its peak x_m =
+    -Phi^-1(2 (1-p)/n)/sqrt(2), 1/(1 + 2 max(x_m, 0)) wide, and grow 1.5x
+    each in both directions, down to x_p and up to sqrt(max(x_m, 0)^2 + 40).
+    """
+    x_p = _ndtri_float(p) / _SQRT2 if p > 0.0 else -math.inf
+    x_m = -_ndtri_float(2.0 * (1.0 - p) / n) / _SQRT2
+    peak = max(x_m, 0.0)
+    top = math.sqrt(peak * peak + 40.0)
+    bottom = max(x_p, -top)
+    edges = [x_m]
+    width = first = 1.0 / (1.0 + 2.0 * peak)
+    while edges[-1] < top:
+        edges.append(min(edges[-1] + width, top))
+        width *= 1.5
+    width = first
+    while edges[0] > bottom:
+        edges.insert(0, max(edges[0] - width, bottom))
+        width *= 1.5
+    r = round(max(x_p, 0.0) * 2.0 ** 20) * 2.0 ** -20
+    half_scale = 0.5 / (1.0 - p)
+    k = n - 2
+    terms = []
+    for lo, hi in zip(edges, edges[1:]):
+        width = hi - lo
+        for fraction, weight in _GL_PAIRS:
+            x = lo + width * fraction
+            t = math.erfc(x) * half_scale
+            if t < 1.0:  # else v <= 0: erfc rounded to 2, or x next to x_p
+                terms.append(weight * width * math.exp(k * math.log1p(-t) - 2.0 * (x - r) * (x + r)))
+    anchor = math.exp(-r * r) / (1.0 - p)
+    return n * (n - 1) / (_SQRT2 * math.pi) * anchor * anchor * math.fsum(terms)
+
+
 def _ndtri(x):
     """Standard normal quantile of a float in (0, 1) or of an array."""
     return _ndtri_array(x) if isinstance(x, np.ndarray) else _ndtri_float(x)
@@ -379,17 +436,18 @@ class Normal(_Family):
         return self.mean - self.stddev * _ndtri(t)
 
     def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [0, 1), orders 1 and 2 only."""
+        """ES_n at level p in [0, 1), every order: closed forms at orders 1
+        and 2, the erfc integral of ``_normal_es`` above them."""
+        if n > 2:
+            return self.mean + self.stddev * _normal_es(n, p)
         # z = -inf at p = 0, where exp gives 0 and erfc gives 2.
         z = _ndtri_float(p) if p > 0.0 else -math.inf
         if n == 1:
             phi_z = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             return self.mean + self.stddev * phi_z / (1.0 - p)
-        if n == 2:
-            # 1 - Phi(sqrt(2) z), without the cancellation of 1 - Phi.
-            tail = 0.5 * math.erfc(z)
-            return self.mean + self.stddev * tail / (math.sqrt(math.pi) * (1.0 - p) ** 2)
-        raise NoClosedForm(f"no closed normal form for order {n}")
+        # 1 - Phi(sqrt(2) z), without the cancellation of 1 - Phi.
+        tail = 0.5 * math.erfc(z)
+        return self.mean + self.stddev * tail / (math.sqrt(math.pi) * (1.0 - p) ** 2)
 
 
 @dataclass(frozen=True)

@@ -175,14 +175,6 @@ BLOCK_DOUBLES = 1 << 15
 # into (-1, 1); this many binary digits of exponent keep it finite.
 _MAX_EXPONENT_BITS = 1000
 
-# A row reaching this magnitude can span more than the float range, so that
-# x - VaR-hat, or a weighted sum of it, overflows; below it |x - VaR-hat| <
-# 2**1022.  The checks and the residual take such a row times _WIDE_SCALE:
-# a power of two, so it changes the sign of no sum (its only rounding is in
-# values near the underflow limit).
-_WIDE = 2.0 ** 1021
-_WIDE_SCALE = 0.125
-
 
 def block_rows(m: int) -> int:
     """Rows of length m in one block of the batched solve."""
@@ -247,10 +239,13 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
 def _solve_block(x: np.ndarray, n: int, eps: float):
     b, m = x.shape
     i_var = _var_index(m, 1.0 - eps)
-    wide = np.maximum(-x[:, 0], x[:, -1]) >= _WIDE
-    if wide.any():
-        x = x.copy()  # x may be the caller's array
-        x[wide] *= _WIDE_SCALE
+    # Each row times a power of two 2^-e that brings it into (-1, 1), so
+    # that x - VaR-hat, the weighted sums of it and the cell search's sums
+    # stay finite.  The scaling changes no root and the sign of no sum; its
+    # only rounding is in values pushed below the normal floats.  The
+    # residual goes back to the row's own units by 2^e.
+    e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
+    x = x * np.ldexp(1.0, -e)[:, None]
     excess = x - x[:, i_var - 1, None]
     # The existence check at p = 0 and the left endpoint c = 1 put every row
     # on the same level, so one weight vector serves the whole block.
@@ -271,7 +266,7 @@ def _solve_block(x: np.ndarray, n: int, eps: float):
         excess = x - x[:, i_var - 1, None]
         levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
         residual[solve] = np.abs(_row_dots(_increments(m, n, levels), excess))
-    residual[wide] /= _WIDE_SCALE  # back in the row's own units
+    residual = np.ldexp(residual, e)
     value[infinite] = math.inf
     residual[infinite] = 0.0
     return value, iterations, residual
@@ -319,9 +314,9 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
-    # Exact multiplier of every row of x, each with its gap positive at
-    # c = 1 and not at c = 1/eps; j_var = m - i_var, so G = x_(m) - x_(m-j_var).
-    # Returns (c, in-cell bisection steps).
+    # Exact multiplier of every row of x, each scaled into (-1, 1) with its
+    # gap positive at c = 1 and not at c = 1/eps; j_var = m - i_var, so
+    # G = x_(m) - x_(m-j_var).  Returns (c, in-cell bisection steps).
     k, m = x.shape
     if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
         raise OrderOutOfRange(
@@ -330,9 +325,6 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
         )
     rows = np.arange(k)
     eulerian = _eulerian(n)
-    # Scaling each row by a power of two changes no root and is exact; it
-    # brings the row into (-1, 1), so every sum below stays finite.
-    x = x * np.ldexp(1.0, -np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1])[:, None]
     # s[r, :, n + i] = S_{r+1}(i), the (r+1)-fold cumulative sum of the top
     # gaps d_1..d_i, so S_1(i) = x_(m) - x_(m-i); the n leading zero columns
     # stand for i < 0.

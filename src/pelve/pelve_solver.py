@@ -32,14 +32,7 @@ from .errors import (
     LevelOutOfRange,
     QuadratureNonConvergence,
 )
-from .risk_measures import (
-    DEFAULT_REL_TOL,
-    EsResult,
-    _es_n_upto,
-    _node_callables,
-    _TailTable,
-    es_n,
-)
+from .risk_measures import DEFAULT_REL_TOL, _node_callables, _TailTable, es_n
 
 __all__ = [
     "PelveResult",
@@ -112,12 +105,7 @@ def _check_c_tol(c_tol: float) -> None:
         raise InvalidParameter(f"c_tol must lie in [1e-12, 1e-3], got {c_tol}")
 
 
-def pelve_exists(
-    dist: DistributionModel,
-    n: int,
-    eps: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> bool:
+def pelve_exists(dist: DistributionModel, n: int, eps: float) -> bool:
     """Finiteness check: ES_n(0) <= VaR(1 - eps).
 
     Equivalent to the multiplier being finite, because ES_n(0) is the
@@ -127,7 +115,7 @@ def pelve_exists(
     """
     _check_level_eps(eps)
     _check_var_level(dist, eps)
-    return es_n(dist, n, dist.level_floor, rel_tol).value <= quantile(dist, 1.0 - eps)
+    return es_n(dist, n, dist.level_floor).value <= quantile(dist, 1.0 - eps)
 
 
 # ITP constants.  The secant point moves toward the midpoint by
@@ -238,28 +226,16 @@ def pelve(
     n: int,
     eps: float,
     c_tol: float = DEFAULT_C_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> PelveResult:
     """Equivalent-level multiplier of ``dist`` at level ``eps`` and order
     ``n``, by existence check plus a bracketing (ITP) solve to within
     ``c_tol * (c_max - 1)`` of the root, c_max = (1 - level floor)/eps.
-
-    Every level the solve visits lies at or below 1 - eps, so where ES_n has
-    no closed form one tail table at 1 - eps serves the whole solve: each
-    evaluation adds only its head over (p, 1 - eps)."""
-    return _pelve(dist, n, eps, c_tol, _es_n_upto(dist, n, 1.0 - eps, rel_tol))
-
-
-def _pelve(
-    dist: DistributionModel, n: int, eps: float, c_tol: float, es: Callable[[float], EsResult]
-) -> PelveResult:
-    # The solve of pelve, with ES_n at levels up to 1 - eps from ``es`` (as
-    # from _es_n_upto at some b >= 1 - eps), which the caller may share.
+    Every ES_n evaluation is the family's closed form."""
     _check_level_eps(eps)
     _check_var_level(dist, eps)
     _check_c_tol(c_tol)
     var_level = quantile(dist, 1.0 - eps)
-    return _solve(lambda p: es(p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
+    return _solve(lambda p: es_n(dist, n, p).value - var_level, eps, c_tol, p_floor=dist.level_floor)
 
 
 def pelve_from_quantile(
@@ -271,9 +247,10 @@ def pelve_from_quantile(
     tail_quantile_fn: Callable[[float], float] = None,
 ) -> PelveResult:
     """Same contract as :func:`pelve`, for an arbitrary quantile function;
-    every Expected Shortfall evaluation goes through quadrature, all from one
-    tail table at 1 - eps.  An optional ``tail_quantile_fn(t)`` = quantile
-    at 1 - t sharpens heavy tails (see :func:`es_n_quadrature`)."""
+    every Expected Shortfall evaluation goes through quadrature to within
+    ``rel_tol``, all from one tail table at 1 - eps.  An optional
+    ``tail_quantile_fn(t)`` = quantile at 1 - t sharpens heavy tails (see
+    :func:`es_n_quadrature`)."""
     _check_level_eps(eps)
     _check_c_tol(c_tol)
     var_level = quantile_fn(1.0 - eps)

@@ -5,17 +5,19 @@ The n-th-order Expected Shortfall at level p averages the quantile function
 over (p, 1) under the kernel n*(s-p)^(n-1)/(1-p)^n, which integrates to one.
 Order 1 is the usual Expected Shortfall.
 
-Closed forms exist for uniform and exponential at every order, for the
-normal at orders 1 and 2, and for Pareto (tail > 1) and
-generalized-Pareto-type models (shape < 1) at every order, the last two from
-one kernel moment; each family class carries its own as ``es_closed``.
-Everything else (the normal at orders 3 and up, tails without a first
-moment, and any quantile callable) goes through composite Gauss-Legendre
-quadrature on geometrically graded panels, which resolve the integrable
-endpoint singularities of heavy-tailed quantile functions.
+Every family has ES_n in closed form at every order, each in its family
+class as ``es_closed``: uniform and exponential directly, the normal through
+erfc (an integral at orders 3 and up, see ``distributions._normal_es``), and
+Pareto (tail > 1) and the generalized-Pareto types (shape < 1) from one
+kernel moment.  ``es_n``, ``tail_gini`` and ``gini_shortfall`` take the
+closed forms; a tail without a first moment raises NoClosedForm.
 
-The quadrature splits (p, 1) at a level b >= p.  Expanding (s - p)^(n-1)
-binomially about b gives, for every p <= b,
+Quadrature serves quantile callables only (``es_n_quadrature``, and
+``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``):
+composite Gauss-Legendre on geometrically graded panels, which resolve the
+integrable endpoint singularities of heavy-tailed quantile functions.  It
+splits (p, 1) at a level b >= p.  Expanding (s - p)^(n-1) binomially about
+b gives, for every p <= b,
 
     ES_n(p) (1-p)^n / n = integral over (p, b) of (s-p)^(n-1) Q(s) ds
                           + sum_{k<n} C(n-1, k) (b-p)^(n-1-k) M_k(b),
@@ -23,23 +25,20 @@ binomially about b gives, for every p <= b,
 with the tail moments M_k(b) = integral over (b, 1) of (s-b)^k Q(s) ds.
 Every coefficient is nonnegative, so the split adds no cancellation.  The
 moments do not depend on p: one table of them serves every level at or
-below b, and each level adds only its short head over (p, b).  ``pelve``
-and ``pelve_from_quantile`` build one table at b = 1 - eps for a whole
-solve, and ``pelve analytic`` one at its highest printed level for every
-row and the solve; ``tail_gini``, ``gini_shortfall`` and standalone
-``es_n`` and ``es_n_quadrature`` build one at b = p.  A table never sits
-below 1/2, so at p >= 1/2 a standalone ES_n is the tail moments alone, with
-no head.  ``_TailTable`` is the only caller of the graded-panel kernel
-(``_graded_pair``, ``_pair_sums``, ``_refine``).  The
-tail runs in t = 1 - s, on panels that halve toward t = 0, and calls the
-tail quantile t -> Q(1 - t): doubles are dense near 0 but not near 1, and
-heavy tails need panels far below the float spacing at 1.  The head runs
-in s, on panels that halve toward p in its lower half and toward b in its
-upper half, and calls the quantile.  ``es_n`` hands the nodes to
-the family's ``quantile`` and ``tail_quantile`` as whole arrays;
-``es_n_quadrature`` keeps a one-float-at-a-time contract for arbitrary
-quantile callables, and without a tail callable evaluates the quantile at
-1 - t, lowered to the largest double below 1 where that rounds to 1.
+below b, and each level adds only its short head over (p, b).
+``pelve_from_quantile`` builds one table at b = 1 - eps for a whole solve;
+``es_n_quadrature`` builds one at b = p.  A table never sits below 1/2, so
+at p >= 1/2 a standalone ES_n is the tail moments alone, with no head.
+``_TailTable`` is the only caller of the graded-panel kernel
+(``_graded_pair``, ``_pair_sums``, ``_refine``).  The tail runs in
+t = 1 - s, on panels that halve toward t = 0, and calls the tail quantile
+t -> Q(1 - t): doubles are dense near 0 but not near 1, and heavy tails
+need panels far below the float spacing at 1.  The head runs in s, on
+panels that halve toward p in its lower half and toward b in its upper
+half, and calls the quantile.  ``es_n_quadrature`` keeps a
+one-float-at-a-time contract for arbitrary quantile callables, and without
+a tail callable evaluates the quantile at 1 - t, lowered to the largest
+double below 1 where that rounds to 1.
 """
 
 from __future__ import annotations
@@ -53,18 +52,15 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
+    _GL_FRACTIONS,
+    _GL_WEIGHTS,
     DistributionModel,
     _check_order,
     harmonic_number,
-    quantile,
-    tail_quantile,
 )
-from .errors import (
-    InvalidParameter,
-    LevelOutOfRange,
-    NoClosedForm,
-    QuadratureNonConvergence,
-)
+# No longer called here, but perfbench/tracing.py wraps these names.
+from .distributions import quantile, tail_quantile  # noqa: F401
+from .errors import InvalidParameter, LevelOutOfRange, QuadratureNonConvergence
 
 __all__ = [
     "EsMethod",
@@ -121,8 +117,7 @@ def _check_tail_level(p: float) -> None:
 def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
     """Closed-form n-th-order Expected Shortfall, where one exists.
 
-    Raises NoClosedForm when the (family, order) pair is not covered;
-    callers normally fall back to es_n_quadrature.
+    Raises NoClosedForm where the tail has no first moment.
     """
     _check_order(n)
     _check_tail_level(p)
@@ -133,8 +128,6 @@ def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
 # quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)  # node positions in a panel, from its lower edge
 _NODE_BUDGET = 2 ** 20
 # Deepest grading refined.  Past it a grid's deepest edges would lie closer
 # to its end than the smallest double (2^-1074) resolves, so they add no
@@ -345,13 +338,6 @@ def _node_callables(
     return _per_node(quantile_fn), _per_node(tail_quantile_fn)
 
 
-def _family_callables(dist: DistributionModel) -> tuple:
-    # The array callables of a table over a family.  They look up quantile
-    # and tail_quantile at call time, so that wrappers of those names see
-    # every node array.
-    return lambda s: quantile(dist, s), lambda t: tail_quantile(dist, t)
-
-
 def es_n_quadrature(
     quantile_fn: Callable[[float], float],
     n: int,
@@ -378,73 +364,29 @@ def es_n_quadrature(
     return _TailTable(*_node_callables(quantile_fn, tail_quantile_fn), n, p, rel_tol).es(n, p)
 
 
-def _es_n_upto(
-    dist: DistributionModel, n: int, b: float, rel_tol: float = DEFAULT_REL_TOL
-) -> Callable[..., EsResult]:
-    """ES_m of ``dist`` for orders m <= n (default n) at levels p <= b: the
-    closed form where the family has one, otherwise one tail table of n
-    moments at b, built on first use and shared by every later order and
-    level."""
-    table = None
-
-    def es(p: float, m: int = n) -> EsResult:
-        nonlocal table
-        try:
-            return EsResult(es_n_closed(dist, m, p), EsMethod.CLOSED_FORM)
-        except NoClosedForm:
-            if table is None:
-                table = _TailTable(*_family_callables(dist), n, b, rel_tol)
-            return table.es(m, p)
-
-    return es
-
-
-def es_n(
-    dist: DistributionModel,
-    n: int,
-    p: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> EsResult:
-    """n-th-order Expected Shortfall: closed form when available, otherwise
-    quadrature over the family's quantile function, evaluated on whole node
-    arrays, from one tail table at p, with no head at p >= 1/2."""
-    return _es_n_upto(dist, n, p, rel_tol)(p)
+def es_n(dist: DistributionModel, n: int, p: float) -> EsResult:
+    """n-th-order Expected Shortfall of a family, by its closed form; raises
+    NoClosedForm where the tail has no first moment."""
+    return EsResult(es_n_closed(dist, n, p), EsMethod.CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------
 # tail-Gini and Gini Shortfall
 # ---------------------------------------------------------------------------
 
-def _es_1_2(dist: DistributionModel, p: float, rel_tol: float) -> tuple[float, float]:
-    # ES_1 and ES_2 at p: closed forms where the family has them, otherwise
-    # both from the moments m_0 and m_1 of one tail table at p.
-    es = _es_n_upto(dist, 2, p, rel_tol)
-    return es(p, 1).value, es(p, 2).value
-
-
-def tail_gini(
-    dist: DistributionModel, p: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def tail_gini(dist: DistributionModel, p: float) -> float:
     """Tail-Gini dispersion at level p, computed as 2*(ES_2 - ES_1).
 
     Algebraically identical to the direct integral against the kernel
     2*(2s - 1 - p)/(1-p)^2, and exact by construction in the Gini Shortfall
-    decomposition below.  Orders without a closed form come from one tail
-    table at p.
+    decomposition below.
     """
-    es1, es2 = _es_1_2(dist, p, rel_tol)
-    return 2.0 * (es2 - es1)
+    return 2.0 * (es_n_closed(dist, 2, p) - es_n_closed(dist, 1, p))
 
 
-def gini_shortfall(
-    dist: DistributionModel,
-    p: float,
-    g: GiniParams,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
+def gini_shortfall(dist: DistributionModel, p: float, g: GiniParams) -> float:
     """Gini Shortfall: ES_1 + loading * tail_gini, evaluated through its
-    decomposition (1 - 2*loading)*ES_1 + 2*loading*ES_2, with orders
-    without a closed form from one tail table at p."""
-    es1, es2 = _es_1_2(dist, p, rel_tol)
+    decomposition (1 - 2*loading)*ES_1 + 2*loading*ES_2."""
+    es1, es2 = es_n_closed(dist, 1, p), es_n_closed(dist, 2, p)
     lam = g.loading
     return (1.0 - 2.0 * lam) * es1 + 2.0 * lam * es2

@@ -11,10 +11,15 @@ import pytest
 
 from pelve import (
     ExcessGPD,
+    GeneralizedPareto,
     MalformedCsv,
+    NoClosedForm,
     NonMonotoneDates,
     NonPositivePrice,
+    Pareto,
     SampleTooSmall,
+    es_n,
+    pelve,
     pelve_closed,
 )
 from pelve.cli import (
@@ -253,10 +258,36 @@ def test_cli_usage_errors_exit_1():
     code, _, _ = run_cli(["simulate", "--dist", "normal:0,1", "--replicates", "2",
                           "--length", "10", "--seed", "-1"])
     assert code == 1
-    for flag, value in (("--ctol", "1e-2"), ("--ctol", "1e-13"), ("--reltol", "0.1"),
-                        ("--reltol", "1e-15")):
-        code, _, err = run_cli([flag, value, "analytic", "--dist", "uniform:0,1"])
+    for value in ("1e-2", "1e-13"):
+        code, _, err = run_cli(["--ctol", value, "analytic", "--dist", "uniform:0,1"])
         assert code == 1 and "must lie in" in err
+    # Every analytic value is a closed form, so there is no quadrature
+    # tolerance to set.
+    code, _, err = run_cli(["--reltol=1e-10", "analytic", "--dist", "uniform:0,1"])
+    assert code == 1 and "unrecognized arguments: --reltol=1e-10" in err
+
+
+@pytest.mark.parametrize(
+    "dist, spec",
+    [
+        (GeneralizedPareto(1, 1), "gpd:1,1"),
+        (GeneralizedPareto(1.5, 1), "gpd:1.5,1"),
+        (Pareto(1, 1), "pareto:1,1"),
+        (Pareto(1, 0.5), "pareto:1,0.5"),
+    ],
+    ids=["gpd:1,1", "gpd:1.5,1", "pareto:1,1", "pareto:1,0.5"],
+)
+def test_divergent_families_raise_at_every_order(dist, spec):
+    # A tail without a first moment has no ES_n.  Quadrature at a loose
+    # tolerance used to return a finite one here (1416.589 for gpd:1,1 at
+    # order 1 and level 0.5 with rel_tol 1e-2), and the CLI printed it.
+    for n in (1, 2, 3):
+        with pytest.raises(NoClosedForm):
+            es_n(dist, n, 0.5)
+        with pytest.raises(NoClosedForm):
+            pelve(dist, n, 0.05)
+        code, out, err = run_cli(["analytic", "--dist", spec, "--order", str(n)])
+        assert (code, out) == (2, "") and "no first moment" in err
 
 
 def test_cli_data_errors_exit_2(tmp_path):

@@ -1,10 +1,16 @@
-"""The generalized-Pareto-type closed forms against mpmath at 40 digits.
+"""The closed forms against mpmath: the generalized-Pareto types and Pareto
+at 40 digits, the normal at 20.
 
 Every GPD-type ES_n and PELVE_n, and Pareto's, follows from the kernel moment
 S_n = n B(n, 1 - k): for Q(s) = u + (beta/k)(x^-k - 1), x = (1 - s)/(1 - F(u)),
 ES_n(p) = u + (beta/k)(x^-k S_n - 1) and PELVE_n = S_n^(1/k).  The references
 below take S_n from mpmath's beta function, not from the product the code
 forms.
+
+The normal ES_n at orders n >= 3 is
+n (n-1)/(1-p)^2 * integral over (z_p, inf) of v^(n-2) phi(u)^2 du with
+v = (Phi(u) - p)/(1 - p); the references integrate it with mpmath's
+tanh-sinh rule in u, not on the code's Gauss-Legendre panels in u/sqrt(2).
 """
 
 import math
@@ -12,7 +18,16 @@ import math
 import mpmath
 import pytest
 
-from pelve import ExcessGPD, GeneralizedPareto, Pareto, pelve2_rv_limit
+from pelve import (
+    DEFAULT_C_TOL,
+    ExcessGPD,
+    GeneralizedPareto,
+    Normal,
+    Pareto,
+    es_n_quadrature,
+    pelve,
+    pelve2_rv_limit,
+)
 
 SHAPES = [-0.5, -0.1, -1e-12, 0.0, 1e-12, 0.1, 0.3, 0.5, 0.9, 0.999]
 ORDERS = [1, 2, 3, 5, 10, 20, 40]
@@ -113,3 +128,72 @@ def test_heavy_gpd_at_order_3_is_closed(dist):
     exact = (0.5 ** -dist.shape * 3 * math.gamma(3) * math.gamma(1 - dist.shape)
              / math.gamma(4 - dist.shape) - 1) / dist.shape
     assert dist.es_closed(3, 0.5) == pytest.approx(exact, rel=1e-12)
+
+
+NORMAL_ORDERS = [3, 4, 5, 10, 40, 200]
+NORMAL_LEVELS = [0.0, 1e-10, 0.1, 0.3, 0.5, 0.75, 0.9, 0.95, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+# Each order at every third level, the orders offset so that every level is
+# met twice; and the order 1000 at both ends and the middle.
+NORMAL_CASES = [
+    (n, p)
+    for j, n in enumerate(NORMAL_ORDERS)
+    for k, p in enumerate(NORMAL_LEVELS)
+    if (j + k) % 3 == 0
+] + [(1000, 0.0), (1000, 0.5), (1000, 1 - 1e-12)]
+
+
+def _normal_es_exact(n, p):
+    # The standard normal ES_n at 20 digits.  z_p and the peak u_m, where
+    # 1 - Phi(u_m) = 2 (1 - p)/n, come from erfinv at 40 digits, which near
+    # p = 1 loses the digits of 2 p - 1.  The integrand carries its scale,
+    # since mpmath.quad's tolerance is absolute, and the panels split at
+    # steps of 1/(1 + |u_m|) about the peak.
+    with mpmath.workdps(40):
+        q = 1 - mpmath.mpf(p)
+        z_p = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1) if p > 0 else -mpmath.inf
+        u_m = -mpmath.sqrt(2) * mpmath.erfinv(4 * q / n - 1)
+    with mpmath.workdps(20):
+        scale = n * (n - 1) / (2 * mpmath.pi * q ** 2)
+
+        def integrand(u):
+            v = 1 - mpmath.erfc(u / mpmath.sqrt(2)) / (2 * q)
+            return scale * v ** (n - 2) * mpmath.exp(-u * u)
+
+        step = 1 / (1 + abs(u_m))
+        points = [z_p] + [u_m + k * step for k in range(-6, 7) if u_m + k * step > z_p]
+        return mpmath.quad(integrand, points + [mpmath.inf])
+
+
+def test_normal_es_n_is_within_5e_15():
+    off = []
+    for n, p in NORMAL_CASES:
+        bound = 1e-14 if n > 200 else 5e-15
+        error = _rel(Normal(0, 1).es_closed(n, p), _normal_es_exact(n, p))
+        if error > bound:
+            off.append((n, p, error))
+    assert off == []
+
+
+def test_normal_es_n_matches_quadrature_of_its_quantile():
+    dist = Normal(0, 1)
+    off = []
+    for n in (3, 4, 5, 10):
+        for p in NORMAL_LEVELS:
+            closed = dist.es_closed(n, p)
+            quad = es_n_quadrature(dist.quantile, n, p, tail_quantile_fn=dist.tail_quantile).value
+            if abs(quad - closed) > 1e-13 * abs(closed):
+                off.append((n, p, closed, quad))
+    assert off == []
+
+
+def test_normal_is_location_scale():
+    # ES_n of Normal(3, 2) is 3 + 2 ES_n of Normal(0, 1) to rounding, and
+    # PELVE_n does not depend on location or scale.
+    for n in (1, 2, 3, 4, 5, 40):
+        for p in NORMAL_LEVELS:
+            expected = 3.0 + 2.0 * Normal(0, 1).es_closed(n, p)
+            assert abs(Normal(3, 2).es_closed(n, p) - expected) <= 2 * math.ulp(expected), (n, p)
+    c_max = 1.0 / 0.05
+    for n in (3, 4, 5):
+        moved, standard = pelve(Normal(3, 2), n, 0.05).value, pelve(Normal(0, 1), n, 0.05).value
+        assert abs(moved - standard) <= DEFAULT_C_TOL * (c_max - 1.0), n

@@ -1,15 +1,42 @@
-"""The tail tables behind ``pelve analytic`` and ``karamata_ratio``: one
-table per call, and none where a closed form serves."""
+"""Tail tables serve quantile callables only: ``es_n_quadrature``,
+``pelve_from_quantile`` and ``karamata_ratio`` build one per call, and no
+family result builds any."""
 
 import io
+import statistics
 
 import pytest
 
-import pelve.pelve_solver as pelve_solver
-import pelve.risk_measures as risk_measures
-from pelve import InvalidParameter, karamata_ratio
+from pelve import (
+    ExcessGPD,
+    Exponential,
+    GeneralizedPareto,
+    GiniParams,
+    InvalidParameter,
+    Normal,
+    Pareto,
+    Uniform,
+    es_n,
+    es_n_quadrature,
+    gini_shortfall,
+    karamata_ratio,
+    pelve,
+    pelve_exists,
+    pelve_from_quantile,
+    tail_gini,
+)
 from pelve.cli import main
 from test_tail_table import _counting_tables
+
+# One model of each family, with the CLI spelling of each.
+FAMILIES = [
+    (Uniform(0, 1), "uniform:0,1"),
+    (Exponential(1), "exp:1"),
+    (Normal(0, 1), "normal:0,1"),
+    (Pareto(1, 3), "pareto:1,3"),
+    (GeneralizedPareto(0.5, 1), "gpd:0.5,1"),
+    (ExcessGPD(1, 0.3, 1, 0.4), "excessgpd:1,0.3,1,0.4"),
+]
 
 
 def _analytic(*argv: str) -> str:
@@ -18,22 +45,24 @@ def _analytic(*argv: str) -> str:
     return out.getvalue()
 
 
-# The analytic-quad workload's cases, and one whose top printed level is
-# 1 - eps.  The normal has no closed form at order 3; the generalized-Pareto
-# types have one at every order and build no table.
-@pytest.mark.parametrize(
-    "dist, eps, top",
-    [
-        ("normal:0,1", "0.05", 0.99),
-        ("gpd:0.5,1", "0.05", 0.99),
-        ("excessgpd:1,0.3,1,0", "0.05", 0.99),
-        ("normal:0,1", "0.001", 1.0 - 0.001),
-    ],
-)
-def test_analytic_builds_one_table_at_the_top_printed_level(dist, eps, top, monkeypatch):
+def test_no_family_builds_a_table(monkeypatch):
     built = _counting_tables(monkeypatch)
-    _analytic("--dist", dist, "--order", "3", "--epsilon", eps)
-    assert built == ([top] if dist.startswith("normal") else [])
+    for dist, spec in FAMILIES:
+        for n in range(1, 6):
+            for p in (dist.level_floor, 0.5, 0.99):
+                es_n(dist, n, p)
+                tail_gini(dist, p)
+                gini_shortfall(dist, p, GiniParams(0.25))
+            pelve_exists(dist, n, 0.05)
+            pelve(dist, n, 0.05)
+            _analytic("--dist", spec, "--order", str(n))
+    assert built == []
+    # The quantile callables each build one.
+    inv_cdf = statistics.NormalDist().inv_cdf
+    es_n_quadrature(inv_cdf, 3, 0.9)
+    pelve_from_quantile(inv_cdf, 3, 0.05)
+    karamata_ratio(-0.5, 0.05)
+    assert built == [0.9, 0.95, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -48,8 +77,6 @@ def test_closed_form_analytic_builds_no_table(argv, monkeypatch):
 
 def test_karamata_ratio_builds_one_table(monkeypatch):
     built = _counting_tables(monkeypatch)
-    # pelve_solver binds the class at import; point it at the counting one.
-    monkeypatch.setattr(pelve_solver, "_TailTable", risk_measures._TailTable)
     assert karamata_ratio(-0.5, 0.05) == pytest.approx(2.0, rel=1e-10)
     assert built == [0.0]
 

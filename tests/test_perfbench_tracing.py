@@ -51,12 +51,18 @@ def test_cli_runs_under_the_tracer(tracing, tmp_path):
 
 
 def test_analytic_solve_is_traced(tracing):
-    # pelve analytic hands its solve the ES_n of its level rows; the solve
-    # must still run through the name the tracer wraps.
+    # The solve and every ES_n run through the names the tracer wraps: ES_n
+    # once per printed row, and once per gap evaluation of the solve, which
+    # are its two ends, its ITP steps and the final secant point.
     tracer = tracing.Tracer()
+    out = io.StringIO()
     with tracing.instrumented(tracer):
         argv = ["analytic", "--dist", "normal:0,1", "--order", "3", "--epsilon", "0.05"]
-        assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+        assert main(argv, out=out, err=io.StringIO()) == 0
     summary = tracer.summary()
+    steps = summary["counts"]["pelve_solver.bisection_steps"]
+    rows = out.getvalue().count("\nes_3,")
     assert summary["calls"]["pelve_solver.pelve"] == 1
-    assert summary["counts"]["pelve_solver.bisection_steps"] > 0
+    assert steps > 0 and rows == 6
+    assert summary["calls"]["risk_measures.es_n"] == rows + steps + 3
+    assert summary["under"]["risk_measures.es_n<pelve_solver.pelve"] == steps + 3

@@ -27,7 +27,7 @@ from pelve import (
     tail_gini,
     tail_quantile,
 )
-from pelve.risk_measures import _family_callables, _TailTable
+from pelve.risk_measures import _TailTable
 
 CLOSED_FAMILIES = [
     Uniform(0, 1),
@@ -43,6 +43,11 @@ CLOSED_FAMILIES = [
 ]
 
 P_GRID = [0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+
+
+def _table(dist, orders, b):
+    # One tail table at b on the family's quantiles, as arrays.
+    return _TailTable(dist.quantile, dist.tail_quantile, orders, b, DEFAULT_REL_TOL)
 
 
 def _levels_for(dist):
@@ -76,8 +81,9 @@ def test_es_closed_gpd_kappa_zero_reduces_to_exponential():
 
 
 def test_no_closed_form_paths():
-    with pytest.raises(NoClosedForm):
-        es_n_closed(Normal(0, 1), 3, 0.1)
+    # Only tails without a first moment lack a closed form; the normal has
+    # one at every order.
+    assert math.isfinite(es_n_closed(Normal(0, 1), 3, 0.1))
     with pytest.raises(NoClosedForm):
         es_n_closed(Pareto(1, 0.9), 1, 0.1)
     with pytest.raises(NoClosedForm):
@@ -123,9 +129,9 @@ def test_quadrature_flags_nonintegrable_tails():
                 0.5,
                 tail_quantile_fn=lambda t: tail_quantile(d, t),
             )
-    # Node arrays whose quantiles overflow to inf end the same way.
+    # A family's ES_n is its closed form, which has none for these tails.
     for alpha in (0.5, 0.005):
-        with pytest.raises(QuadratureNonConvergence):
+        with pytest.raises(NoClosedForm):
             es_n(Pareto(1, alpha), 1, 0.5)
 
 
@@ -160,7 +166,7 @@ def test_var_es_ordering_chain(dist):
     # tail table at p on the family's quantiles.
     for p in _levels_for(dist):
         var = quantile(dist, p) if p > 0 else -math.inf
-        table = _TailTable(*_family_callables(dist), 5, p, DEFAULT_REL_TOL)
+        table = _table(dist, 5, p)
         for es in (lambda n: es_n(dist, n, p), lambda n: table.es(n, p)):
             prev = var
             for n in (1, 2, 3, 4, 5):
@@ -187,7 +193,7 @@ def test_es_continuity_in_level():
 
 
 def test_es_dispatch_method():
-    assert es_n(Normal(0, 1), 3, 0.1).method is EsMethod.QUADRATURE
+    assert es_n(Normal(0, 1), 3, 0.1).method is EsMethod.CLOSED_FORM
     assert es_n(Normal(0, 1), 2, 0.1).method is EsMethod.CLOSED_FORM
     assert es_n(Exponential(2), 1, 0.0).value == pytest.approx(0.5, abs=1e-15)
     assert es_n(Uniform(3, 5), 2, 0.0).value == pytest.approx(13 / 3, abs=1e-12)
@@ -218,8 +224,7 @@ def test_standalone_es_n_near_one_is_right_and_its_estimate_honest():
             for n in (3, 4, 5):
                 for p in _SWEEP_LEVELS:
                     exact = ((1 - mpmath.mpf(p)) ** -kappa * n * mpmath.beta(n, 1 - kappa) - 1) / kappa
-                    table = _TailTable(*_family_callables(dist), n, p, DEFAULT_REL_TOL)
-                    _check_against(table.es(n, p), exact, off, (k, n, p))
+                    _check_against(_table(dist, n, p).es(n, p), exact, off, (k, n, p))
                     _check_against(es_n(dist, n, p), exact, off, ("closed", k, n, p))
         # The exponential through the scalar callables: ES_n = H_n - log(1 - p).
         for n in (3, 4, 5):
@@ -232,7 +237,7 @@ def test_standalone_es_n_near_one_is_right_and_its_estimate_honest():
     assert off == []
     # Within a few float spacings of 1, where a head in s cannot resolve.
     p, dist = 1 - 1.1e-15, GeneralizedPareto(0.5, 1)
-    assert _TailTable(*_family_callables(dist), 3, p, DEFAULT_REL_TOL).es(3, p).value == pytest.approx(
+    assert _table(dist, 3, p).es(3, p).value == pytest.approx(
         192076774.6998892, rel=1e-15
     )
 
@@ -266,14 +271,6 @@ def test_tail_gini_examples():
     assert tail_gini(Uniform(0, 1), 0.0) == pytest.approx(1 / 3, abs=1e-12)
 
 
-class _WithoutClosedForms(Normal):
-    """The normal model with its closed forms withheld, so that every order
-    goes through quadrature."""
-
-    def es_closed(self, n, p):
-        raise NoClosedForm("withheld")
-
-
 # 30-digit quantiles of the models of the Gini Shortfall test.
 _MP_QUANTILES = {
     "normal": lambda s: mpmath.sqrt(2) * mpmath.erfinv(2 * s - 1),
@@ -289,7 +286,6 @@ def test_gini_shortfall_decomposition():
     # ES_1/ES_2 decomposition that gini_shortfall evaluates.
     models = [
         ("normal", Normal(0, 1)),
-        ("normal", _WithoutClosedForms(0, 1)),
         ("exponential", Exponential(1)),
         ("gpd", GeneralizedPareto(0.3, 1)),
     ]

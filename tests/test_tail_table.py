@@ -1,6 +1,6 @@
-"""ES_n from one table of tail moments per split level b: the table against
-the quadrature it replaced, against the high-precision references, and the
-work it saves."""
+"""ES_n from one table of tail moments per split level b, on the families'
+quantiles: the table against the quadrature it replaced, against the
+high-precision references and the closed forms, and the work it saves."""
 
 import json
 import math
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pelve.pelve_solver as pelve_solver
 import pelve.risk_measures as risk_measures
 from pelve import (
     DEFAULT_REL_TOL,
@@ -23,11 +24,11 @@ from pelve import (
     QuadratureNonConvergence,
     es_n,
     gini_shortfall,
+    pelve,
     pelve_from_quantile,
     tail_gini,
 )
 from pelve.cli import _parse_dist
-from pelve.risk_measures import _es_n_upto, _family_callables
 
 DATA = Path(__file__).parent / "data"
 REFERENCES = json.loads(
@@ -46,9 +47,9 @@ def _close(got: float, expected: float) -> bool:
 
 
 def _table_es(dist, n: int, b: float, p: float):
-    # ES_n at p <= b from one tail table at b on the family's array
-    # callables, whether or not the family has a closed form.
-    return risk_measures._TailTable(*_family_callables(dist), n, b, DEFAULT_REL_TOL).es(n, p)
+    # ES_n at p <= b from one tail table at b on the family's quantiles, as
+    # arrays.
+    return risk_measures._TailTable(dist.quantile, dist.tail_quantile, n, b, DEFAULT_REL_TOL).es(n, p)
 
 
 @pytest.mark.parametrize("spec", sorted({row[0] for row in TWO_HALF}))
@@ -57,41 +58,38 @@ def test_table_matches_the_two_half_quadrature(spec):
     off = []
     for _, n, eps, p, before in (row for row in TWO_HALF if row[0] == spec):
         b = 1.0 - eps
-        # Levels above b take the standalone path, as in pelve analytic; the
-        # generalized-Pareto types take their closed forms on both, and a
-        # table on their quantiles besides.
-        table = _es_n_upto(dist, n, b)(p).value if p <= b else None
+        # es_n is every family's closed form; the quadrature runs on the
+        # quantiles, from a table at b for the levels up to b.
         standalone = es_n(dist, n, p).value
         quadrature = _table_es(dist, n, max(b, p), p).value
-        for got in (table, standalone, quadrature):
-            if got is not None and not _close(got, before):
+        for got in (standalone, quadrature):
+            if not _close(got, before):
                 off.append((n, eps, p, got, before))
     assert off == []
 
 
 @pytest.mark.parametrize("shape", [1.0, 1.5])
 def test_divergent_models_still_raise(shape):
+    # es_n raises the closed form's error; quadrature on the quantiles runs
+    # out of nodes.
     dist = GeneralizedPareto(shape, 1)
     with pytest.raises(QuadratureNonConvergence):
-        _es_n_upto(dist, 3, 0.95)(0.5)
-    with pytest.raises(QuadratureNonConvergence):
+        _table_es(dist, 3, 0.95, 0.5)
+    with pytest.raises(NoClosedForm):
         es_n(dist, 3, 0.5)
 
 
 @pytest.mark.parametrize("key", ["normal:0,1@3", "gpd:0.5,1@3", "excessgpd:1,0.3,1,0@3"])
 def test_quadrature_rows_are_within_rel_tol_and_their_estimate(key):
-    # The ES rows of pelve analytic on the benchmark's quadrature cases: the
-    # rows up to 1 - eps from one table, the 0.99 row standalone.
-    # The generalized-Pareto types take their closed forms there, so their
-    # rows also come from a table on their quantiles, whose estimate is
-    # checked.
+    # The ES rows of pelve analytic on the benchmark's quadrature cases,
+    # which are closed forms, and the same rows from tables on the
+    # quantiles, whose estimate is checked: one at 1 - eps for the levels up
+    # to it, one at 0.99 for that row.
     ref = REFERENCES[key]
     dist, n, b = _parse_dist(ref["dist"]), ref["order"], 1.0 - float(ref["epsilon"])
-    es_upto = _es_n_upto(dist, n, b)
     for level, value in ref["es"].items():
         p, exact = float(level), Fraction(value)
-        row = es_upto(p) if p <= b else es_n(dist, n, p)
-        for result in (row, _table_es(dist, n, max(b, p), p)):
+        for result in (es_n(dist, n, p), _table_es(dist, n, max(b, p), p)):
             error = abs(Fraction(result.value) - exact)
             assert error <= Fraction(DEFAULT_REL_TOL) * max(abs(exact), 1), (level, result)
             if result.method is EsMethod.QUADRATURE:
@@ -99,6 +97,8 @@ def test_quadrature_rows_are_within_rel_tol_and_their_estimate(key):
 
 
 def _counting_tables(monkeypatch) -> list:
+    # The split level of every tail table built from here on, in either
+    # module that builds them.
     built = []
 
     class Counted(risk_measures._TailTable):
@@ -107,12 +107,12 @@ def _counting_tables(monkeypatch) -> list:
             super().__init__(*args)
 
     monkeypatch.setattr(risk_measures, "_TailTable", Counted)
+    monkeypatch.setattr(pelve_solver, "_TailTable", Counted)
     return built
 
 
 class _WithoutClosedForms(Normal):
-    """The normal model with its closed forms withheld, so that every order
-    goes through quadrature."""
+    """The normal model with its closed forms withheld."""
 
     def es_closed(self, n, p):
         raise NoClosedForm("withheld")
@@ -124,24 +124,31 @@ class _WithoutClosedForms(Normal):
     ids=repr,
 )
 def test_tail_gini_matches_es_n(dist, monkeypatch):
-    # Families with closed forms at orders 1 and 2 build no table; without
-    # them both orders come from one table at p.
-    quadrature = isinstance(dist, _WithoutClosedForms)
+    # Both take the closed forms and build no table; without closed forms
+    # both raise, with no quadrature to fall back on.
     built = _counting_tables(monkeypatch)
     for p in (dist.level_floor, 0.5, 0.9, 0.99):
+        if isinstance(dist, _WithoutClosedForms):
+            for measure in (lambda: es_n(dist, 1, p), lambda: tail_gini(dist, p),
+                            lambda: gini_shortfall(dist, p, GiniParams(0.25))):
+                with pytest.raises(NoClosedForm):
+                    measure()
+            continue
         expected = 2.0 * (es_n(dist, 2, p).value - es_n(dist, 1, p).value)
-        del built[:]
         assert _close(tail_gini(dist, p), expected), p
-        assert built == ([p] if quadrature else []), p
         es1 = es_n(dist, 1, p).value
         assert _close(gini_shortfall(dist, p, GiniParams(0.25)), es1 + 0.25 * expected), p
+    assert built == []
 
 
 def test_tail_gini_from_one_table_matches_the_closed_forms():
-    quad, exact = _WithoutClosedForms(0, 1), Normal(0, 1)
+    # 2 (ES_2 - ES_1) from the moments m_0 and m_1 of one table at p on the
+    # normal's quantiles.
+    dist = Normal(0, 1)
     for p in (0.0, 0.5, 0.9, 0.99):
-        expected = 2.0 * (exact.es_closed(2, p) - exact.es_closed(1, p))
-        assert _close(tail_gini(quad, p), expected), p
+        table = risk_measures._TailTable(dist.quantile, dist.tail_quantile, 2, p, DEFAULT_REL_TOL)
+        expected = 2.0 * (dist.es_closed(2, p) - dist.es_closed(1, p))
+        assert _close(2.0 * (table.es(2, p).value - table.es(1, p).value), expected), p
 
 
 @pytest.mark.parametrize("dist", [GeneralizedPareto(0.97, 1), GeneralizedPareto(0.98, 1), Pareto(1, 1.02)], ids=repr)
@@ -153,9 +160,11 @@ def test_tail_gini_of_heavy_tails_is_the_closed_form(dist):
 
 
 def test_pelve_builds_one_table_per_solve(monkeypatch):
+    # A solve on a quantile callable builds one table at 1 - eps; a solve on
+    # a family takes its closed forms and builds none.
     built = _counting_tables(monkeypatch)
-    from pelve import pelve
-
+    pelve_from_quantile(statistics.NormalDist().inv_cdf, 3, 0.05)
+    assert built == [0.95]
     pelve(Normal(0, 1), 3, 0.05)
     assert built == [0.95]
 
