@@ -65,6 +65,26 @@ def test_no_family_builds_a_table(monkeypatch):
     assert built == [0.9, 0.95, 0.0]
 
 
+# The analytic-quad workload's cases, and one whose top printed level is
+# 1 - eps.  The normal at order 3 once built one table there; with ES_n in
+# closed form at every order, the top printed level is reached by none.
+@pytest.mark.parametrize(
+    "dist, eps, top",
+    [
+        ("normal:0,1", "0.05", 0.99),
+        ("gpd:0.5,1", "0.05", 0.99),
+        ("excessgpd:1,0.3,1,0", "0.05", 0.99),
+        ("normal:0,1", "0.001", 1.0 - 0.001),
+    ],
+)
+def test_analytic_builds_one_table_at_the_top_printed_level(dist, eps, top, monkeypatch):
+    built = _counting_tables(monkeypatch)
+    rows = _analytic("--dist", dist, "--order", "3", "--epsilon", eps).splitlines()
+    es_levels = [float(row.split(",")[1]) for row in rows if row.startswith("es_3,")]
+    assert max(es_levels) == top
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [("--dist", "exp:1", "--order", "3"), ("--dist", "gpd:0.3,1", "--order", "2", "--closed-only")],
