@@ -68,7 +68,7 @@ __all__ = [
 
 
 def _check_order(n: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise OrderOutOfRange(f"order must be a positive integer, got {n!r}")
 
 
@@ -217,12 +217,11 @@ def _ndtri_array(p: np.ndarray) -> np.ndarray:
     return z.reshape(p.shape)
 
 
-# The 15-node Gauss-Legendre rule: node positions in a panel as fractions
-# of its width from its lower edge, and weights summing to 2 over a panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
-# The same rule as (fraction, weight/2) pairs of Python floats.
-_GL_PAIRS = tuple(zip(_GL_FRACTIONS.tolist(), (0.5 * _GL_WEIGHTS).tolist()))
+# The 15-node Gauss-Legendre rule as (fraction, weight) pairs of Python
+# floats: node positions as fractions of a panel's width from its lower
+# edge, and weights summing to 1.
+_GL_PAIRS = tuple((0.5 * (1.0 + x), 0.5 * w) for x, w in zip(
+    *(a.tolist() for a in np.polynomial.legendre.leggauss(15))))
 _SQRT2 = math.sqrt(2.0)
 
 

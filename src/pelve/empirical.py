@@ -239,13 +239,13 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
 def _solve_block(x: np.ndarray, n: int, eps: float):
     b, m = x.shape
     i_var = _var_index(m, 1.0 - eps)
-    # Each row times a power of two 2^-e that brings it into (-1, 1), so
-    # that x - VaR-hat, the weighted sums of it and the cell search's sums
-    # stay finite.  The scaling changes no root and the sign of no sum; its
-    # only rounding is in values pushed below the normal floats.  The
-    # residual goes back to the row's own units by 2^e.
+    # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as 2^-e
+    # overflows for a row of subnormals), so that x - VaR-hat, the weighted
+    # sums of it and the cell search's sums stay finite.  The scaling changes
+    # no root and the sign of no sum; its only rounding is in values pushed
+    # below the normal floats.  The residual goes back by 2^e.
     e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
-    x = x * np.ldexp(1.0, -e)[:, None]
+    x = np.ldexp(x, -e[:, None])
     excess = x - x[:, i_var - 1, None]
     # The existence check at p = 0 and the left endpoint c = 1 put every row
     # on the same level, so one weight vector serves the whole block.

@@ -244,7 +244,7 @@ def pelve_from_quantile(
     eps: float,
     c_tol: float = DEFAULT_C_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-    tail_quantile_fn: Callable[[float], float] = None,
+    tail_quantile_fn: Callable[[float], float] | None = None,
 ) -> PelveResult:
     """Same contract as :func:`pelve`, for an arbitrary quantile function;
     every Expected Shortfall evaluation goes through quadrature to within
@@ -298,9 +298,10 @@ def karamata_ratio(
     ratio into the integral over (0, 1) of u^kappa du, so eps never enters
     the arithmetic and cannot underflow.  That integral is ES_1 at level 0
     of the quantile (1 - s)^kappa, whose tail quantile is t^kappa: one tail
-    table carries the integrable singularity at t = 0 for kappa < 0 on its
-    panels graded toward 0, up to the depth where the closing panel's nodes
-    leave the normal floats.  ``rel_tol`` must lie in [1e-14, 1e-2].
+    table carries the integrable singularity at t = 0 for kappa < 0, until
+    its closing panel's mass falls within ``rel_tol`` or its nodes would
+    leave the normal floats, which near kappa = -1 raises KappaOutOfRange.
+    ``rel_tol`` must lie in [1e-14, 1e-2].
     """
     if not kappa_rv > -1.0:
         raise KappaOutOfRange(f"index must exceed -1, got {kappa_rv}")

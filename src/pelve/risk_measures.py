@@ -13,32 +13,23 @@ kernel moment.  ``es_n``, ``tail_gini`` and ``gini_shortfall`` take the
 closed forms; a tail without a first moment raises NoClosedForm.
 
 Quadrature serves quantile callables only (``es_n_quadrature``, and
-``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``):
-composite Gauss-Legendre on geometrically graded panels, which resolve the
-integrable endpoint singularities of heavy-tailed quantile functions.  It
-splits (p, 1) at a level b >= p.  Expanding (s - p)^(n-1) binomially about
-b gives, for every p <= b,
+``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``).  It
+splits (p, 1) at a level b >= p; expanding (s - p)^(n-1) binomially about b
+gives, for every p <= b,
 
     ES_n(p) (1-p)^n / n = integral over (p, b) of (s-p)^(n-1) Q(s) ds
                           + sum_{k<n} C(n-1, k) (b-p)^(n-1-k) M_k(b),
 
 with the tail moments M_k(b) = integral over (b, 1) of (s-b)^k Q(s) ds.
-Every coefficient is nonnegative, so the split adds no cancellation.  The
-moments do not depend on p: one table of them serves every level at or
-below b, and each level adds only its short head over (p, b).
-``pelve_from_quantile`` builds one table at b = 1 - eps for a whole solve;
-``es_n_quadrature`` builds one at b = p.  A table never sits below 1/2, so
-at p >= 1/2 a standalone ES_n is the tail moments alone, with no head.
-``_TailTable`` is the only caller of the graded-panel kernel
-(``_graded_pair``, ``_pair_sums``, ``_refine``).  The tail runs in
-t = 1 - s, on panels that halve toward t = 0, and calls the tail quantile
-t -> Q(1 - t): doubles are dense near 0 but not near 1, and heavy tails
-need panels far below the float spacing at 1.  The head runs in s, on
-panels that halve toward p in its lower half and toward b in its upper
-half, and calls the quantile.  ``es_n_quadrature`` keeps a
-one-float-at-a-time contract for arbitrary quantile callables, and without
-a tail callable evaluates the quantile at 1 - t, lowered to the largest
-double below 1 where that rounds to 1.
+Every coefficient is nonnegative, so the split adds no cancellation, and
+one table of moments serves every level at or below b, each adding only
+its head over (p, b): ``pelve_from_quantile`` builds one table at
+b = 1 - eps per solve, ``es_n_quadrature`` one at b = max(p, 1/2).  Tail
+and head go through one adaptive Gauss-Kronrod integrator, ``_integrate``.
+The tail runs in t = 1 - s through the tail quantile t -> Q(1 - t), as
+heavy tails need panels far below the float spacing at 1; so does the head
+down to s = 1/2, below which it runs in s.  Without a tail callable the
+quantile is called at 1 - t, lowered to the largest double below 1.
 """
 
 from __future__ import annotations
@@ -51,13 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (
-    _GL_FRACTIONS,
-    _GL_WEIGHTS,
-    DistributionModel,
-    _check_order,
-    harmonic_number,
-)
+from .distributions import DistributionModel, _check_order, harmonic_number
 # No longer called here, but perfbench/tracing.py wraps these names.
 from .distributions import quantile, tail_quantile  # noqa: F401
 from .errors import InvalidParameter, LevelOutOfRange, QuadratureNonConvergence
@@ -129,144 +114,180 @@ def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 _NODE_BUDGET = 2 ** 20
-# Deepest grading refined.  Past it a grid's deepest edges would lie closer
-# to its end than the smallest double (2^-1074) resolves, so they add no
-# panels.
-_DEEPEST = 1100
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # Floor of an error estimate, as in QUADPACK: rounding in the quantile and
 # in the sums, 50 machine epsilons of the absolute integral.
 _ROUNDING = 50.0 * sys.float_info.epsilon
-# Graded panels keep their nodes at least this far from the end they are
-# graded toward: the smallest normal float.
+# Graded panels keep their nodes this far from their end: the smallest normal float.
 _SMALLEST = sys.float_info.min
-# First grading depths.  The head's nodes sit where quantiles are smooth
-# unless p is the level floor; the tail always reaches the singular end 1.
-_HEAD_LEVELS = 4
-_TAIL_LEVELS = 32
-# Lowest split level of a table.  At or above it the tail's widest panel
-# lies at least twice its width above level 0, where quantiles such as the
-# normal's are singular.
+# First grading depths toward the tail's t = 0, where an unbounded quantile
+# needs panels about as deep as rel_tol is small, and toward a head's level p.
+_TAIL_DEPTH, _HEAD_DEPTH = 32, 12
+# Lowest split level of a table: at or above it the tail's widest panel lies
+# at least twice its width above level 0, where quantiles may be singular.
 _LOWEST_SPLIT = 0.5
+_NO_MOMENT = "; the quantile function may lack a finite first moment on (p, 1)"
+
+# QUADPACK's qk15 rule (Piessens et al., 1983): the positive Kronrod nodes on
+# [-1, 1], descending to 0, their weights, and the weights of the 7-point
+# Gauss rule at _XK[1], _XK[3], _XK[5] and 0.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# The 15 nodes ascending on [-1, 1] and their K15 and G7 weights; a panel's
+# edges and nodes as fractions of its width from its lower edge.
+_NODES = np.array(_XK[:7] + _XK[::-1]) * np.repeat([-1.0, 1.0], (7, 8))
+_KRONROD = np.array(_WK + _WK[6::-1])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = _WG + _WG[2::-1]
+_POINTS = np.concatenate(([0.0], 0.5 * (1.0 + _NODES), [1.0]))
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    if not 1e-14 <= rel_tol <= 1e-2:
-        raise InvalidParameter(f"rel_tol must lie in [1e-14, 1e-2], got {rel_tol}")
+def _rules() -> np.ndarray:
+    # Rules on the integrand at _POINTS, one per column, for a panel of
+    # width 2: K15; the null rules c_12 .. c_14 (coefficients of the
+    # polynomials orthonormal on the nodes under the K15 weights), scaled so
+    # that |c_14| = |K15 - G7|; and at each edge the nodes' interpolant less
+    # the integrand, times twice the distance to the outermost node.
+    legendre = np.polynomial.legendre.legvander(_NODES, 14)
+    root = np.sqrt(_KRONROD)
+    null = root[:, None] * np.linalg.qr(root[:, None] * legendre)[0][:, 12:]
+    null *= abs((_KRONROD - _GAUSS) @ null[:, 2]) / (null[:, 2] @ null[:, 2])
+    ends = np.linalg.solve(legendre.T, np.polynomial.legendre.legvander([-1.0, 1.0], 14).T)
+    rules = np.zeros((17, 6))
+    rules[1:-1] = np.column_stack((_KRONROD, null, ends))
+    rules[0, 4] = rules[-1, 5] = -1.0
+    rules[:, 4:] *= 2.0 * _POINTS[1]
+    return rules
 
 
-def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre nodes, one row per panel [lo, hi], and the half-widths.
-    width = hi - lo
-    return lo[:, None] + width[:, None] * _GL_FRACTIONS, 0.5 * width
+_RULES = _rules()
 
 
-def _graded_pair(offset: float, width: float, levels: int, beyond=()) -> tuple:
-    # Panels [lo, hi] of the graded grid at depth 2*levels (edges
-    # offset + width*2^-k for k = 2*levels..0, then the further edges
-    # ``beyond``, ascending, plus a closing panel from offset) behind the
-    # closing panel of the grid at depth levels, and the row from which the
-    # coarse grid's panels run.  Row 0 is the coarse closing panel and row
-    # 1 the fine one; the coarse grid is row 0 plus the rows from the
-    # returned one on, so one node array gives both grids.
-    # Edges whose closing panel would put nodes within the smallest normal
-    # float of offset are dropped: deeper grading resolves nothing more.
-    # Where the fine grid then reaches no deeper than the coarse one, the
-    # coarse grid leaves the closing panel out (row 0 has zero width), so
-    # that the two still differ by what the closing panel holds.
-    edges = offset + width * 2.0 ** -np.arange(2 * levels, -1.0, -1)
-    if (edges[0] - offset) * _GL_FRACTIONS[0] < _SMALLEST:
-        keep = (edges - offset) * _GL_FRACTIONS[0] >= _SMALLEST
-        keep[-1] = True  # offset + width, if need be as one zero-width panel
-        edges = edges[keep]
-    first = max(edges.size - levels - 1, 0)  # the coarse grid's first edge
-    edges = np.concatenate((edges, beyond))
-    lo = np.concatenate(([offset if first else edges[0], offset], edges[:-1]))
-    hi = np.concatenate(([edges[first], edges[0]], edges[1:]))
-    return lo, hi, 2 + first
+def _kronrod(f: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """K15 sum, error estimate and K15 sum of |f| per panel of ``width`` and
+    kernel column, from the integrand ``f`` at the panels' _POINTS.  The
+    estimate is sqrt(c_12^2 + c_13^2 + c_14^2), as a kink or a jump can hide
+    in a zero of |c_14| = |K15 - G7| alone, plus the edge terms."""
+    flat = f.reshape(-1, 17)
+    rules = flat @ _RULES
+    out = np.empty((flat.shape[0], 3))
+    out[:, 0] = rules[:, 0]
+    np.abs(rules, out=rules)
+    out[:, 1] = np.hypot(np.hypot(rules[:, 1], rules[:, 2]), rules[:, 3]) + rules[:, 4] + rules[:, 5]
+    out[:, 2] = np.abs(flat[:, 1:-1]) @ _KRONROD
+    return out.reshape(f.shape[:2] + (3,)) * (0.5 * width[:, None, None])
 
 
-def _pair_sums(fn: Callable, lo: np.ndarray, hi: np.ndarray, first: int, kernel_of: Callable) -> tuple:
-    # Gauss-Legendre sums of kernel*Q over the coarse and the fine grid of
-    # panels [lo, hi] (as from _graded_pair), of kernel*|Q| over the fine
-    # grid and over its closing panel, and the node count.  fn maps node
-    # arrays to quantiles; kernel_of maps them to the kernel, with a
-    # trailing axis of kernel columns, one entry per column in each sum.
-    nodes, half = _panels(lo, hi)
-    weighted = fn(nodes) * (_GL_WEIGHTS * half[:, None])
-    kernel = kernel_of(nodes)
-    rows = np.einsum("pj,pjk->pk", weighted, kernel)
-    size = np.einsum("pj,pjk->pk", np.abs(weighted), kernel)
-    return rows[0] + rows[first:].sum(0), rows[1:].sum(0), size[1:].sum(0), size[1], nodes.size
+def _dyadic(a: float, c: float, depth: int) -> np.ndarray:
+    # Edges of a closing panel from a and ``depth`` panels doubling up to c.
+    return np.concatenate(([a], a + (c - a) * 2.0 ** -np.arange(depth, 0.0, -1), [c]))
 
 
-# Overflow to inf in a node array is not an error here, nor is the nan of
-# inf - inf: a non-finite total ends in QuadratureNonConvergence.
-@np.errstate(over="ignore", invalid="ignore")
-def _refine(integrate: Callable, levels: int, rel_tol: float) -> tuple:
-    """Doubles the grading depth ``levels`` until the coarse and fine totals
-    of ``integrate(levels)`` (as from _pair_sums) agree within ``rel_tol``
-    of the larger of each fine total and its absolute counterpart; returns
-    the fine totals, their absolute counterparts and the differences.  A
-    budget of 2^20 nodes guards against integrands without a finite
-    integral, and so does a depth cap where grading leaves the floats."""
-    edge_tol = math.sqrt(rel_tol)
-    used = 0
-    while True:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite total raises below
+def _integrate(fn: Callable, kernel_of: Callable, edges: np.ndarray, singular: bool,
+               rel_tol: float, offset=0.0, offset_abs=0.0) -> np.ndarray:
+    """The integral of kernel_of(x) * fn(x) over (edges[0], edges[-1]), its
+    error estimate and its absolute counterpart, one row per kernel column.
+
+    Each pass bisects the panels whose estimate exceeds an equal share of
+    the tolerance, until the estimates sum to at most ``rel_tol`` of the
+    larger of |total + offset| and its absolute counterpart plus
+    ``offset_abs``.  With ``singular`` the edges halve toward edges[0], and
+    past its share the first panel there doubles its depth, as far as its
+    nodes stay apart from edges[0] by the smallest normal float.  Where
+    edges[0] is 0 (level 0 or 1) the integrand is not evaluated there, and
+    that panel's estimate adds its whole mass, the geometric sum
+    m1^2/(m2 - m1) from the masses over one and two of its widths above it
+    (exact for a power law, infinite where m2 <= m1)."""
+
+    def evaluate(lo: np.ndarray, hi: np.ndarray, closing: bool) -> np.ndarray:
+        points = lo[:, None] + (hi - lo)[:, None] * _POINTS
+        points[:, 0], points[:, -1] = lo, hi
+        if unseen := closing and a == 0.0:  # level 0 or 1, where Q may be infinite
+            points[0, 0] = points[0, 1]
         try:
-            coarse, fine, fine_abs, edge, spent = integrate(levels)
+            q = fn(points)
         except OverflowError:
-            raise QuadratureNonConvergence(
-                "quantile overflow near an endpoint; the quantile function "
-                "may lack a finite first moment on (p, 1)"
-            ) from None
-        used += spent
-        err = np.abs(fine - coarse)
-        scale = np.maximum(np.maximum(np.abs(fine), fine_abs), 1e-300)
-        finite = bool(np.isfinite(fine).all())
-        # The end-panel check rejects false agreement between refinements
-        # when mass keeps piling up at an endpoint (divergent integrand).
-        if finite and bool((err <= rel_tol * scale).all() and (edge <= edge_tol * scale).all()):
-            return fine, fine_abs, err
-        levels *= 2
-        if used > _NODE_BUDGET or not finite or levels > _DEEPEST:
-            raise QuadratureNonConvergence(
-                "node budget exhausted; the quantile function may lack a "
-                "finite first moment on (p, 1)"
-            )
+            raise QuadratureNonConvergence("quantile overflow near an endpoint" + _NO_MOMENT) from None
+        if not np.isfinite(q).all():
+            raise QuadratureNonConvergence("non-finite quantile value (nan or inf) in (p, 1)")
+        rows = _kronrod(q[:, None] * kernel_of(points), hi - lo)
+        if unseen:
+            m1, m2 = rows[1, :, 2], rows[2, :, 2]
+            rows[0, :, 1] += np.where(m1 > 0.0, np.where(m2 > m1, m1 * m1 / (m2 - m1), np.inf), 0.0)
+        return rows
+
+    a, depth, lo, hi = edges[0], edges.size - 2, edges[:-1], edges[1:]
+    rows = evaluate(lo, hi, singular)  # with ``singular``, row 0 closes
+    while True:
+        sums = rows.sum(0)
+        tol = rel_tol * np.maximum(np.abs(sums[:, 0] + offset), sums[:, 2] + offset_abs)
+        if (sums[:, 1] <= tol).all():
+            if not np.isfinite(sums[:, 0]).all():
+                raise QuadratureNonConvergence("quantile overflow near an endpoint" + _NO_MOMENT)
+            return sums
+        split = (rows[..., 1] > tol / lo.size).any(1)
+        block = np.empty(0)
+        if singular and split[0]:
+            split[0] = False
+            deeper = a + (hi[0] - a) * 2.0 ** -np.arange(depth, 0, -1)
+            deeper = deeper[(a + (deeper - a) * _POINTS[1]) - a >= _SMALLEST]
+            if deeper.size >= 2:  # the new closing panel and the two above it
+                depth += deeper.size
+                block = np.concatenate(([a], deeper, hi[:1]))
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((block[:-1], lo[split], mid))
+        new_hi = np.concatenate((block[1:], mid, hi[split]))
+        if not new_lo.size or 17 * (lo.size + new_lo.size) > _NODE_BUDGET:
+            raise QuadratureNonConvergence("node budget exhausted" + _NO_MOMENT)
+        keep = ~split
+        keep[0] &= not block.size
+        new = evaluate(new_lo, new_hi, bool(block.size))
+        lo, hi, rows = (
+            np.concatenate((added, old[keep]) if block.size else (old[keep], added))
+            for old, added in ((lo, new_lo), (hi, new_hi), (rows, new))
+        )
 
 
 class _TailTable:
     """The tail moments m_k = M_k(b)/(1 - b)^k = integral over (b, 1) of
     ((s - b)/(1 - b))^k Q(s) ds, k < ``orders``, of one quantile at one split
     level b, from which ES_n(p) follows for every n <= ``orders`` and p <= b.
-
-    The moments come from panels in t = 1 - s graded toward t = 0, refined
-    until every moment has converged; each ES_n(p) with p < b adds its own
-    head, the integral over (p, b).  The table sits at
-    max(b, _LOWEST_SPLIT).  It lives as long as its owner: nothing is kept
-    across calls.
+    The table sits at max(b, _LOWEST_SPLIT) and lives as long as its owner.
+    It integrates Q - Q(b): the kernel integrates to one, so that ES_n of a
+    constant is exact and ES_n of Q + c is ES_n of Q plus c up to rounding.
     """
 
     def __init__(self, quantile_fn, tail_quantile_fn, orders: int, b: float, rel_tol: float):
         _check_order(orders)
         _check_tail_level(b)
-        _check_rel_tol(rel_tol)
-        self.quantile_fn = quantile_fn
-        self.rel_tol = rel_tol
-        self.b = b = max(b, _LOWEST_SPLIT)
-        width = 1.0 - b
+        if not 1e-14 <= rel_tol <= 1e-2:
+            raise InvalidParameter(f"rel_tol must lie in [1e-14, 1e-2], got {rel_tol}")
+        self.rel_tol, self.b = rel_tol, max(b, _LOWEST_SPLIT)
+        width = 1.0 - self.b
+        try:
+            self.shift = c = float(tail_quantile_fn(np.full((1, 1), width))[0, 0])
+        except OverflowError:
+            raise QuadratureNonConvergence("quantile overflow near an endpoint" + _NO_MOMENT) from None
+        self.quantile_fn = lambda s: quantile_fn(s) - c
+        self.tail_quantile_fn = lambda t: tail_quantile_fn(t) - c
 
         def moment_kernel(t: np.ndarray) -> np.ndarray:
             u = 1.0 - t / width  # (s - b)/(1 - b)
-            return np.vander(u.ravel(), orders, increasing=True).reshape(u.shape + (orders,))
+            return u[:, None] ** np.arange(orders)[:, None]
 
-        def integrate(levels: int) -> tuple:
-            return _pair_sums(tail_quantile_fn, *_graded_pair(0.0, width, levels), moment_kernel)
-
-        self.moments, self.abs_moments, self.errors = (
-            a.tolist() for a in _refine(integrate, _TAIL_LEVELS, rel_tol)
-        )
+        of_c = c * width / np.arange(1.0, orders + 1)  # the moments of Q(b)
+        # The moments, their error estimates and their absolute counterparts.
+        self.columns = _integrate(self.tail_quantile_fn, moment_kernel, _dyadic(0.0, width, _TAIL_DEPTH),
+                                  True, rel_tol, of_c, abs(of_c)).T
 
     def es(self, n: int, p: float) -> EsResult:
         """ES_n at level p <= b, through
@@ -274,60 +295,33 @@ class _TailTable:
             ES_n(p) (1 - p)/n = integral over (p, b) of v^(n-1) Q(s) ds
                                 + sum_k C(n-1, k) r^(n-1-k) (1 - r)^k m_k,
 
-        with v = (s - p)/(1 - p) and r = (b - p)/(1 - p): the binomial
-        expansion of the ES_n kernel about b.  The weights of the moments
-        are nonnegative and sum to one, so the split adds no cancellation.
-        The error estimate adds the differences of the last refinements,
-        with a floor for rounding."""
+        with v = (s - p)/(1 - p) and r = (b - p)/(1 - p), whose moment
+        weights are nonnegative and sum to one.  The head runs in t over
+        (1 - b, min(1 - p, 1/2)), on panels doubling outward from 1 - b, and
+        in s, graded toward p, only below 1/2.  Each part converges relative
+        to the whole ES; the estimates add up, floored for rounding."""
         b, scale = self.b, 1.0 - p
         r = (b - p) / scale
         weights = [math.comb(n - 1, k) * r ** (n - 1 - k) * (1.0 - r) ** k for k in range(n)]
-        total, size, err = (
-            sum(w * m for w, m in zip(weights, column))
-            for column in (self.moments, self.abs_moments, self.errors)
-        )
-        if b > p:
-            total, size, head_err = self._head(n, p, total, size)
-            err += head_err
-        err = max(err, _ROUNDING * size)
-        return EsResult(n * total / scale, EsMethod.QUADRATURE, n * err / scale)
-
-    def _head(self, n: int, p: float, tail: float, tail_abs: float) -> tuple:
-        # The integral over (p, b) of v^(n-1) Q(s) ds plus the tail terms, so
-        # that it converges relative to the whole ES, with the absolute
-        # total and the difference of the last refinement.  The lower half
-        # of (p, b) is graded toward p, deeper each refinement, for
-        # quantiles singular at the level floor.  The upper half is graded
-        # toward b, just until its last panel is at most half as wide as the
-        # distance 1 - b to the tail's singular end, and stays fixed.
-        b, scale, quantile_fn = self.b, 1.0 - p, self.quantile_fn
-        floor = np.nextafter(p, 1.0)
-        mid = p + 0.5 * (b - p)
-        ratio = 2.0 * (b - mid) / (1.0 - b)
-        depth = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
-        upper = np.append(b - (b - mid) * 2.0 ** -np.arange(1.0, depth + 1), b)
-
-        def integrate(levels: int) -> tuple:
-            coarse, fine, fine_abs, edge, nodes = _pair_sums(
-                lambda s: quantile_fn(np.maximum(s, floor)),
-                *_graded_pair(p, mid - p, levels, upper),
-                lambda s: (((s - p) / scale) ** (n - 1))[..., None],
-            )
-            return coarse + tail, fine + tail, fine_abs + tail_abs, edge, nodes
-
-        total, size, err = _refine(integrate, _HEAD_LEVELS, self.rel_tol)
-        return float(total[0]), float(size[0]), float(err[0])
+        total, err, size = (self.columns[:, :n] @ weights).tolist()
+        width, top = 1.0 - b, min(scale, 0.5)
+        parts = []
+        if top > width:  # edges doubling outward from 1 - b
+            parts.append((self.tail_quantile_fn, lambda t: (scale - t) / scale, np.append(
+                width * 2.0 ** np.arange(math.ceil(math.log2(top / width))), top), False))
+        if p < 0.5:
+            parts.append((lambda s: self.quantile_fn(np.maximum(s, np.nextafter(p, 1.0))),
+                          lambda s: (s - p) / scale, _dyadic(p, 0.5, _HEAD_DEPTH), True))
+        shift = self.shift * scale / n  # the same integral of Q(b)
+        for fn, v, edges, singular in parts:
+            head = _integrate(fn, lambda x: (v(x) ** (n - 1))[:, None], edges, singular,
+                              self.rel_tol, shift + total, abs(shift) + size)
+            total, err, size = (x + y for x, y in zip((total, err, size), head[0].tolist()))
+        err = max(err, _ROUNDING * (abs(shift) + size), _SMALLEST)
+        return EsResult(self.shift + n * total / scale, EsMethod.QUADRATURE, n * err / scale)
 
 
-def _per_node(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    # Adapts a scalar quantile callable to node arrays.
-    return lambda x: np.array([fn(float(v)) for v in x.flat]).reshape(x.shape)
-
-
-def _node_callables(
-    quantile_fn: Callable[[float], float],
-    tail_quantile_fn: Callable[[float], float] | None,
-) -> tuple:
+def _node_callables(quantile_fn: Callable, tail_quantile_fn: Callable | None) -> tuple:
     # The array callables of a table over scalar quantile callables; without
     # a tail callable the tail calls quantile_fn(1 - t), lowered to the
     # largest double below 1 where that rounds to 1.
@@ -335,7 +329,10 @@ def _node_callables(
         def tail_quantile_fn(t: float) -> float:
             return quantile_fn(min(1.0 - t, _BELOW_ONE))
 
-    return _per_node(quantile_fn), _per_node(tail_quantile_fn)
+    return tuple(
+        lambda x, fn=fn: np.array([fn(float(v)) for v in x.flat]).reshape(x.shape)
+        for fn in (quantile_fn, tail_quantile_fn)
+    )
 
 
 def es_n_quadrature(
@@ -346,13 +343,16 @@ def es_n_quadrature(
     tail_quantile_fn: Callable[[float], float] | None = None,
 ) -> EsResult:
     """Numeric n-th-order Expected Shortfall of an arbitrary quantile
-    function, by panel-graded Gauss-Legendre integration over (p, 1): one
-    tail table at p, as in the module docstring, with no head at p >= 1/2.
+    function, by adaptive Gauss-Kronrod integration over (p, 1): one tail
+    table at p, as in the module docstring, with no head at p >= 1/2.
 
-    Each part's panel count doubles until two successive refinements agree
-    within ``rel_tol`` (relative to the larger of the integral and its
-    absolute counterpart).  A budget of 2^20 nodes guards against quantiles
-    without a finite first moment.
+    Each part bisects its panels until their error estimates sum to at most
+    ``rel_tol`` of the larger of the whole ES integral and its absolute
+    counterpart; ``est_abs_error`` is the sum of the parts' estimates, at
+    least 50 machine epsilons of the absolute integral.  A quantile that is
+    not finite at a node, or whose tail mass does not fall off geometrically
+    toward 1 within a budget of 2^20 nodes and the normal floats, raises
+    QuadratureNonConvergence: it may lack a finite first moment.
 
     ``quantile_fn`` takes one float level at a time.  ``tail_quantile_fn(t)``,
     when supplied, evaluates the quantile at level 1 - t directly; heavy

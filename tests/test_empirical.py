@@ -20,6 +20,7 @@ from pelve import (
     empirical_pelve,
     empirical_pelve_rows,
     empirical_var,
+    es_n,
     es_n_weights,
     is_degenerate,
     karamata_ratio,
@@ -551,3 +552,24 @@ def test_epsilon_whose_level_rounds_to_one_is_rejected():
     # Neither of these forms 1 - eps, so both still take it.
     assert karamata_ratio(0.5, 1e-17) == pytest.approx(1.0 / 1.5, rel=1e-10)
     assert pelve_closed(Uniform(0, 1), 2, 1e-17).value == 3.0
+
+
+def test_a_subnormal_sample_scales_without_overflow():
+    # Each row is scaled into (-1, 1) by 2^-e; for a row of subnormals 2^-e
+    # itself overflows a double, so the scaling goes through ldexp.
+    x = np.arange(1.0, 11.0)[None] * 1e-313
+    _assert_rows_match(x, 1, 0.5, 1e-9)
+
+
+def test_a_bool_is_no_order():
+    # bool is an int, so True passed the order check: es_n computed order 1,
+    # and the quadrature and the empirical solve failed with untyped errors.
+    calls = [
+        lambda: es_n(Normal(0, 1), True, 0.5),
+        lambda: pelve_from_quantile(lambda s: s, True, 0.05),
+        lambda: empirical_pelve(OrderedSample(np.arange(100.0)), True, 0.05),
+        lambda: es_n_weights(10, True, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(OrderOutOfRange, match="got True"):
+            call()
