@@ -7,16 +7,21 @@ Families
 Uniform(a, b), Exponential(rate), Normal(mean, stddev), Pareto(scale, tail),
 GeneralizedPareto(shape, scale) and ExcessGPD -- a random variable whose
 excess distribution over a threshold ``u`` is generalized Pareto, described
-by the scalar base CDF value at ``u`` only.  GeneralizedPareto is the
-u = 0, F(u) = 0 case of ExcessGPD and runs the same formulas; only its CDF
-is its own.
+by the scalar base CDF value at ``u`` only.
 
-Each family class is the one home of its formulas.  ``quantile(p)`` and
-``tail_quantile(t)`` (the quantile at 1 - t) map a float to a Python float
-and a numpy array to an array of the same shape.  ``es_closed(n, p)`` and
-``closed_multiplier(n)`` give ES_n and PELVE_n in closed form, or raise
-NoClosedForm.  Every family has ES_n at every order while its tail has a
-first moment; Pareto and the generalized-Pareto types take theirs from one
+Every family but the normal is such an excess model.  Their formulas are one
+set, ``_GPDFormulas``, which reads the threshold u, shape kappa, scale beta
+and F(u) from each family's ``_gpd``: (a, -1, b - a, 0) for the uniform,
+(0, 0, 1/rate, 0) for the exponential, (k, 1/alpha, k/alpha, 0) for
+Pareto(k, alpha) and (0, kappa, beta, 0) for GeneralizedPareto(kappa, beta).
+The normal's formulas are its own.  Pareto keeps its power-form quantile,
+which its draws go through.
+
+``quantile(p)`` and ``tail_quantile(t)`` (the quantile at 1 - t) map a float
+to a Python float and a numpy array to an array of the same shape.
+``es_closed(n, p)`` and ``closed_multiplier(n)`` give ES_n and PELVE_n in
+closed form, or raise NoClosedForm.  Every family has ES_n at every order
+while its tail has a first moment; the excess models take theirs from one
 kernel moment S_n = n B(n, 1 - kappa) (``_kernel_moment``).  The normal has
 no closed multiplier.  ``level_floor`` is the lowest level the model
 describes: base_cdf_at_u for ExcessGPD, 0 elsewhere.
@@ -36,6 +41,7 @@ so results are bit-reproducible for a given seed.  Seed 0 is legal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Union
@@ -72,28 +78,40 @@ def _check_order(n: int) -> None:
         raise OrderOutOfRange(f"order must be a positive integer, got {n!r}")
 
 
+# A solve calls es_closed many times at one (n, kappa): H_n and log S_n are
+# O(n) sums, so each is computed once.  typed keeps harmonic_number(True)
+# from hitting the entry of 1.
+@functools.lru_cache(maxsize=256, typed=True)
 def harmonic_number(n: int) -> float:
     """H_n = 1 + 1/2 + ... + 1/n by direct summation."""
     _check_order(n)
     return sum(1.0 / k for k in range(1, n + 1))
 
 
-def _kernel_moment(n: int, k: float) -> tuple[float, float]:
-    """S_n = n B(n, 1 - k) = prod over j <= n of j/(j - k), and log S_n.
+def _kernel_moment(n: int, k: float) -> float:
+    """S_n = n B(n, 1 - k) = prod over j <= n of j/(j - k), as that product.
 
     S_n is ES_n of the tail quantile x^-k, x = 1 - s, at level 0, so every
-    generalized-Pareto-type ES_n and PELVE_n follows from it: the quantile
+    generalized-Pareto ES_n and PELVE_n follows from it: the quantile
     u + (beta/k)(x^-k - 1) has ES_n = u + (beta/k)(x^-k S_n - 1), and
-    PELVE_n = S_n^(1/k).  Every factor is positive.  The log is summed as
-    log1p(k/(j - k)), which keeps the digits of a small k.  A tail of shape
-    k >= 1 has no first moment, and no closed form.
+    PELVE_n = S_n^(1/k).  Every factor is positive.  A tail of shape k >= 1
+    has no first moment, and no closed form.
     """
+    _check_first_moment(k)
+    return math.prod([j / (j - k) for j in range(1, n + 1)])
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _log_kernel_moment(n: int, k: float) -> float:
+    """log S_n, summed as log1p(k/(j - k)), which keeps the digits of a
+    small k."""
+    _check_first_moment(k)
+    return math.fsum([math.log1p(k / (j - k)) for j in range(1, n + 1)])
+
+
+def _check_first_moment(k: float) -> None:
     if k >= 1.0:
         raise NoClosedForm(f"no closed form: the tail x^-{k} has no first moment")
-    s = 1.0
-    for j in range(1, n + 1):
-        s *= j / (j - k)
-    return s, math.fsum(math.log1p(k / (j - k)) for j in range(1, n + 1))
 
 
 # Floats go through plain comparisons and ``math``: numpy on one float costs
@@ -357,8 +375,89 @@ class _Family:
         raise NoClosedForm(f"no closed multiplier for {self!r}")
 
 
+def _excess(u, k, b, log_x, log_s=0.0, h=0.0):
+    # u + (b/k)(S x^-k - 1) at x = (1 - s)/(1 - F(u)), given as log x, and
+    # S = exp(log_s): the quantile at s for S = 1, ES_n at s for S = S_n.  At
+    # k = 0 it is the limit u + b(h - log x), h the derivative of log S in k
+    # at 0 (H_n for S_n).  expm1 keeps the digits of a small k.
+    if k == 0.0:
+        return u + b * (h - log_x)
+    return u + (b / k) * _expm1(log_s - k * log_x)
+
+
+class _GPDFormulas(_Family):
+    """Formulas of the excess-over-threshold generalized Pareto model, read
+    from the threshold u, shape kappa, scale beta and base CDF value F(u)
+    that ``_gpd`` returns."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        # 1/alpha, k/alpha, 1/rate and b - a overflow for some finite fields.
+        if not all(math.isfinite(v) for v in self._gpd()):
+            raise InvalidParameter(
+                f"{self!r} has a generalized-Pareto shape or scale beyond the float range"
+            )
+
+    def _gpd(self) -> tuple[float, float, float, float]:
+        return self.threshold, self.shape, self.scale, self.base_cdf_at_u
+
+    def cdf(self, x: float) -> float:
+        # F(u) + (1 - F(u)) G(x - u), 0 below u.  G(y) = 1 - (1 + k y/b)^(-1/k)
+        # is -expm1(-log1p(k y/b)/k), which keeps its digits next to u; it is
+        # 1 from the upper end -b/k of a negative k on, 1 - exp(-y/b) at k = 0.
+        u, k, b, fu = self._gpd()
+        y = x - u
+        if y < 0.0:
+            return 0.0
+        if k == 0.0:
+            g = -math.expm1(-y / b)
+        else:
+            z = k * (y / b)
+            g = 1.0 if z <= -1.0 else -math.expm1(-math.log1p(z) / k)
+        return fu + (1.0 - fu) * g
+
+    def _quantile(self, p):
+        u, k, b, fu = self._gpd()
+        return _excess(u, k, b, _log1p(-p) - math.log1p(-fu))
+
+    def _tail_quantile(self, t):
+        u, k, b, fu = self._gpd()
+        return _excess(u, k, b, _log(t) - math.log1p(-fu))
+
+    def es_closed(self, n: int, p: float) -> float:
+        """Closed-form ES_n at level p in [level_floor, 1), every order, for
+        shape < 1."""
+        u, k, b, fu = self._gpd()
+        if p < fu:
+            # The excess model is silent below its threshold; p = fu itself is
+            # fine (the ES then averages the whole modeled tail).
+            raise LevelOutOfRange(
+                f"excess model requires level >= base_cdf_at_u={fu}, got {p}"
+            )
+        log_x = math.log1p(-p) - math.log1p(-fu)
+        if k == 0.0:
+            return _excess(u, k, b, log_x, h=harmonic_number(n))
+        return _excess(u, k, b, log_x, _log_kernel_moment(n, k))
+
+    def closed_multiplier(self, n: int) -> tuple[float, float]:
+        _, k, _, fu = self._gpd()
+        if k == 0.0:
+            value = math.exp(harmonic_number(n))
+        elif k == -1.0:
+            # S_n = 1/(n + 1), whose rounded product need not invert to n + 1.
+            value = float(n + 1)
+        elif abs(k) < 0.1:
+            # The power 1/k would multiply the few ulps by which S_n is off.
+            value = math.exp(_log_kernel_moment(n, k) / k)
+        else:
+            value = _kernel_moment(n, k) ** (1.0 / k)
+        # The applicable eps range is scaled down by the survival mass above
+        # the threshold; the endpoint is treated as attained.
+        return value, (1.0 - fu) / value
+
+
 @dataclass(frozen=True)
-class Uniform(_Family):
+class Uniform(_GPDFormulas):
     lower: float
     upper: float
 
@@ -366,54 +465,20 @@ class Uniform(_Family):
         if not self.lower < self.upper:
             raise InvalidParameter("Uniform requires lower < upper")
 
-    def cdf(self, x: float) -> float:
-        if x <= self.lower:
-            return 0.0
-        if x >= self.upper:
-            return 1.0
-        return (x - self.lower) / (self.upper - self.lower)
-
-    def _quantile(self, p):
-        return self.lower + (self.upper - self.lower) * p
-
-    def _tail_quantile(self, t):
-        return self.upper - (self.upper - self.lower) * t
-
-    def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [0, 1)."""
-        unit = p / (n + 1.0) + n / (n + 1.0)
-        return self.lower + (self.upper - self.lower) * unit
-
-    def closed_multiplier(self, n: int) -> tuple[float, float]:
-        return float(n + 1), 1.0 / (n + 1)
+    def _gpd(self):
+        return self.lower, -1.0, self.upper - self.lower, 0.0
 
 
 @dataclass(frozen=True)
-class Exponential(_Family):
+class Exponential(_GPDFormulas):
     rate: float
 
     def _check_parameters(self):
         if not self.rate > 0:
             raise InvalidParameter("Exponential requires rate > 0")
 
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
-
-    def _quantile(self, p):
-        return -_log1p(-p) / self.rate
-
-    def _tail_quantile(self, t):
-        return -_log(t) / self.rate
-
-    def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [0, 1)."""
-        return (harmonic_number(n) - math.log1p(-p)) / self.rate
-
-    def closed_multiplier(self, n: int) -> tuple[float, float]:
-        h = harmonic_number(n)
-        return math.exp(h), math.exp(-h)
+    def _gpd(self):
+        return 0.0, 0.0, 1.0 / self.rate, 0.0
 
 
 @dataclass(frozen=True)
@@ -450,7 +515,7 @@ class Normal(_Family):
 
 
 @dataclass(frozen=True)
-class Pareto(_Family):
+class Pareto(_GPDFormulas):
     scale: float  # k, left endpoint of the support
     tail: float   # alpha; first moment needs tail > 1
 
@@ -458,74 +523,15 @@ class Pareto(_Family):
         if not (self.scale > 0 and self.tail > 0):
             raise InvalidParameter("Pareto requires scale > 0 and tail > 0")
 
-    def cdf(self, x: float) -> float:
-        if x < self.scale:
-            return 0.0
-        return 1.0 - (self.scale / x) ** self.tail
+    def _gpd(self):
+        return self.scale, 1.0 / self.tail, self.scale / self.tail, 0.0
 
+    # Pareto's own power form, which the draws of ``sample`` go through.
     def _quantile(self, p):
         return self.scale * (1.0 - p) ** (-1.0 / self.tail)
 
     def _tail_quantile(self, t):
         return self.scale * t ** (-1.0 / self.tail)
-
-    def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [0, 1), for tail > 1."""
-        s, _ = _kernel_moment(n, 1.0 / self.tail)
-        return self.scale * s * (1.0 - p) ** (-1.0 / self.tail)
-
-    def closed_multiplier(self, n: int) -> tuple[float, float]:
-        s, _ = _kernel_moment(n, 1.0 / self.tail)
-        return s ** self.tail, s ** -self.tail
-
-
-class _GPDFormulas(_Family):
-    """Formulas of the excess-over-threshold generalized Pareto model, read
-    from ``threshold`` (u), ``shape`` (kappa), ``scale`` (beta) and
-    ``base_cdf_at_u`` (F(u))."""
-
-    @property
-    def level_floor(self) -> float:
-        return self.base_cdf_at_u
-
-    def _quantile(self, p):
-        return self._excess(_log1p(-p) - math.log1p(-self.base_cdf_at_u))
-
-    def _tail_quantile(self, t):
-        return self._excess(_log(t) - math.log1p(-self.base_cdf_at_u))
-
-    def _excess(self, log_x, log_s=0.0, h=0.0):
-        # u + (beta/kappa)(S x^-kappa - 1) at x = (1 - s)/(1 - F(u)), given as
-        # log x, and S = exp(log_s): the quantile at s for S = 1, ES_n at s
-        # for S = S_n.  At kappa = 0 it is the limit u + beta(h - log x), h
-        # the derivative of log S in kappa at 0 (H_n for S_n).  expm1 keeps
-        # the digits of a small kappa.
-        k, b, u = self.shape, self.scale, self.threshold
-        if k == 0.0:
-            return u + b * (h - log_x)
-        return u + (b / k) * _expm1(log_s - k * log_x)
-
-    def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [base_cdf_at_u, 1), every order,
-        for shape < 1."""
-        k, fu = self.shape, self.base_cdf_at_u
-        _, log_s = _kernel_moment(n, k)
-        if p < fu:
-            # The excess model is silent below its threshold; p = fu itself is
-            # fine (the ES then averages the whole modeled tail).
-            raise LevelOutOfRange(
-                f"excess model requires level >= base_cdf_at_u={fu}, got {p}"
-            )
-        h = harmonic_number(n) if k == 0.0 else 0.0
-        return self._excess(math.log1p(-p) - math.log1p(-fu), log_s, h)
-
-    def closed_multiplier(self, n: int) -> tuple[float, float]:
-        k = self.shape
-        s, _ = _kernel_moment(n, k)
-        value = math.exp(harmonic_number(n)) if k == 0.0 else s ** (1.0 / k)
-        # The applicable eps range is scaled down by the survival mass above
-        # the threshold; the endpoint is treated as attained.
-        return value, (1.0 - self.base_cdf_at_u) / value
 
 
 @dataclass(frozen=True)
@@ -539,16 +545,6 @@ class GeneralizedPareto(_GPDFormulas):
     def _check_parameters(self):
         if not self.scale > 0:
             raise InvalidParameter("GeneralizedPareto requires scale > 0")
-
-    def cdf(self, x: float) -> float:
-        k, b = self.shape, self.scale
-        if x < 0:
-            return 0.0
-        if k == 0.0:
-            return -math.expm1(-x / b)
-        if k < 0 and x > -b / k:
-            return 1.0
-        return 1.0 - (1.0 + k * x / b) ** (-1.0 / k)
 
 
 @dataclass(frozen=True)
@@ -570,15 +566,16 @@ class ExcessGPD(_GPDFormulas):
         if not 0.0 <= self.base_cdf_at_u < 1.0:
             raise InvalidParameter("ExcessGPD requires base_cdf_at_u in [0, 1)")
 
+    @property
+    def level_floor(self) -> float:
+        return self.base_cdf_at_u
+
     def cdf(self, x: float) -> float:
         if x < self.threshold:
             raise ExcessGPDBelowThreshold(
                 f"CDF undefined below threshold u={self.threshold}, got x={x}"
             )
-        fu = self.base_cdf_at_u
-        g = GeneralizedPareto(self.shape, self.scale).cdf(x - self.threshold)
-        return fu + (1.0 - fu) * g
-
+        return super().cdf(x)
 
 DistributionModel = Union[
     Uniform, Exponential, Normal, Pareto, GeneralizedPareto, ExcessGPD

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .distributions import DistributionModel, _check_order, _kernel_moment, quantile
+from .distributions import DistributionModel, _check_order, _log_kernel_moment, quantile
 from .errors import (
     AlphaOutOfRange,
     ExcessGPDLevelBelowBase,
@@ -261,9 +261,11 @@ def pelve_from_quantile(
 def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
     """Closed-form multiplier where the family admits one: every order of
     the uniform, the exponential, Pareto (tail > 1) and the
-    generalized-Pareto types (shape < 1), the last two from one kernel
-    moment; none for the normal.  Below the family threshold the value is a
-    constant independent of eps; above it the result is infinite."""
+    generalized-Pareto types (shape < 1), all generalized-Pareto excess
+    models with one formula, S_n^(1/shape) for the kernel moment S_n (its
+    limit exp(H_n) at shape 0); none for the normal.  Below the family
+    threshold the value is a constant independent of eps; above it the
+    result is infinite."""
     _check_order(n)
     _check_eps(eps)
     _check_var_level(dist, eps)
@@ -284,7 +286,7 @@ def pelve2_rv_limit(alpha: float) -> float:
     """
     if not alpha > 1.0:
         raise AlphaOutOfRange(f"tail index must exceed 1, got {alpha}")
-    return math.exp(alpha * _kernel_moment(2, 1.0 / alpha)[1])
+    return math.exp(alpha * _log_kernel_moment(2, 1.0 / alpha))
 
 
 def karamata_ratio(

@@ -5,12 +5,13 @@ The n-th-order Expected Shortfall at level p averages the quantile function
 over (p, 1) under the kernel n*(s-p)^(n-1)/(1-p)^n, which integrates to one.
 Order 1 is the usual Expected Shortfall.
 
-Every family has ES_n in closed form at every order, each in its family
-class as ``es_closed``: uniform and exponential directly, the normal through
-erfc (an integral at orders 3 and up, see ``distributions._normal_es``), and
-Pareto (tail > 1) and the generalized-Pareto types (shape < 1) from one
-kernel moment.  ``es_n``, ``tail_gini`` and ``gini_shortfall`` take the
-closed forms; a tail without a first moment raises NoClosedForm.
+Every family has ES_n in closed form at every order, as its ``es_closed``:
+the normal through erfc (an integral at orders 3 and up, see
+``distributions._normal_es``), and the others, each a generalized-Pareto
+excess model, from one formula set on one kernel moment: the uniform, the
+exponential, Pareto (tail > 1) and the generalized-Pareto types (shape < 1).
+``es_n``, ``tail_gini`` and ``gini_shortfall`` take the closed forms; a tail
+without a first moment raises NoClosedForm.
 
 Quadrature serves quantile callables only (``es_n_quadrature``, and
 ``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``).  It

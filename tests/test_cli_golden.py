@@ -4,8 +4,8 @@ copies in tests/data/golden/.
 Each case runs the command line in a fresh interpreter on this checkout's
 ``src``, so warnings and anything else the process writes count too.  The
 stored copies are rewritten with ``python tests/test_cli_golden.py``, which
-prints the name of each case whose record changed; a change that alters
-them must say why.
+prints the name of each case whose record changed and each stdout line that
+moved, as old -> new; a change that alters them must say why.
 """
 
 import json
@@ -95,6 +95,7 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import itertools
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -103,6 +104,12 @@ if __name__ == "__main__":
         for name, argv in CASES.items():
             path = GOLDEN / f"{name}.json"
             text = json.dumps({"argv": argv, **_run(argv, inputs)}, indent=1) + "\n"
-            if not path.exists() or path.read_text(encoding="utf-8") != text:
+            old = path.read_text(encoding="utf-8") if path.exists() else None
+            if old != text:
                 print(f"changed: {name}")
+                before = json.loads(old)["stdout"].splitlines() if old else []
+                after = json.loads(text)["stdout"].splitlines()
+                for a, b in itertools.zip_longest(before, after, fillvalue=""):
+                    if a != b:
+                        print(f"  {a} -> {b}")
                 path.write_text(text, encoding="utf-8")

@@ -1,7 +1,10 @@
-"""The closed forms against mpmath: the generalized-Pareto types and Pareto
-at 40 digits, the normal at 20.
+"""The closed forms against mpmath: the generalized-Pareto types, the
+uniform, the exponential and Pareto at 40 digits, the normal at 20.
 
-Every GPD-type ES_n and PELVE_n, and Pareto's, follows from the kernel moment
+Uniform, Exponential and Pareto are generalized-Pareto excess models and run
+the same formulas as ExcessGPD, bit for bit; the references below take each
+family's own textbook form.  Every GPD-type ES_n and PELVE_n follows from
+the kernel moment
 S_n = n B(n, 1 - k): for Q(s) = u + (beta/k)(x^-k - 1), x = (1 - s)/(1 - F(u)),
 ES_n(p) = u + (beta/k)(x^-k S_n - 1) and PELVE_n = S_n^(1/k).  The references
 below take S_n from mpmath's beta function, not from the product the code
@@ -21,11 +24,14 @@ import pytest
 from pelve import (
     DEFAULT_C_TOL,
     ExcessGPD,
+    Exponential,
     GeneralizedPareto,
     Normal,
     Pareto,
+    Uniform,
     es_n_quadrature,
     pelve,
+    pelve_closed,
     pelve2_rv_limit,
 )
 
@@ -87,6 +93,72 @@ def test_pareto_es_n_is_within_1e_14():
                         exact = scale * s * (1 - mpmath.mpf(p)) ** -inv
                         worst[alpha] = max(worst.get(alpha, 0.0), _rel(dist.es_closed(n, p), exact))
     assert {alpha: e for alpha, e in worst.items() if e > 1e-14} == {}
+
+
+def test_uniform_and_exponential_quantile_and_es_n_are_within_1e_14():
+    # Uniform(a, b): VaR a + (b - a) p, ES_n a + (b - a)(n + p)/(n + 1).
+    # Exponential(rate): VaR -log(1 - p)/rate, ES_n (H_n - log(1 - p))/rate.
+    worst = {}
+    with mpmath.workdps(40):
+        for dist in (Uniform(0, 1), Uniform(-3, 5), Exponential(1), Exponential(2.5)):
+            for p in LEVELS:
+                q = mpmath.mpf(p)
+                if isinstance(dist, Uniform):
+                    a, b = mpmath.mpf(dist.lower), mpmath.mpf(dist.upper)
+                    var = a + (b - a) * q
+                    es = [a + (b - a) * (n + q) / (n + 1) for n in ORDERS]
+                else:
+                    var = -mpmath.log1p(-q) / dist.rate
+                    es = [(mpmath.harmonic(n) - mpmath.log1p(-q)) / dist.rate for n in ORDERS]
+                if p > 0.0:
+                    worst[dist, "var"] = max(worst.get((dist, "var"), 0.0), _rel(dist.quantile(p), var))
+                for n, exact in zip(ORDERS, es):
+                    worst[dist, "es"] = max(worst.get((dist, "es"), 0.0), _rel(dist.es_closed(n, p), exact))
+    assert {key: e for key, e in worst.items() if e > 1e-14} == {}
+
+
+# Uniform, Exponential and Pareto beside the ExcessGPD of their threshold,
+# shape, scale and F(u) = 0.
+SHARED = [
+    (Uniform(0, 1), ExcessGPD(0.0, -1.0, 1.0, 0.0)),
+    (Uniform(2, 5), ExcessGPD(2.0, -1.0, 3.0, 0.0)),
+    (Exponential(1), ExcessGPD(0.0, 0.0, 1.0, 0.0)),
+    (Exponential(2.5), ExcessGPD(0.0, 0.0, 1 / 2.5, 0.0)),
+    (Pareto(1, 3), ExcessGPD(1.0, 1 / 3, 1 / 3, 0.0)),
+    (Pareto(2, 1.5), ExcessGPD(2.0, 1 / 1.5, 2 / 1.5, 0.0)),
+    (Pareto(1, 20), ExcessGPD(1.0, 1 / 20, 1 / 20, 0.0)),
+]
+
+
+@pytest.mark.parametrize("family, excess", SHARED, ids=repr)
+def test_families_run_the_excess_model_formulas(family, excess):
+    for n in ORDERS:
+        assert family.closed_multiplier(n) == excess.closed_multiplier(n), n
+        for p in LEVELS:
+            assert family.es_closed(n, p) == excess.es_closed(n, p), (n, p)
+
+
+def test_uniform_multiplier_is_exactly_n_plus_1():
+    # S_n = 1/(n + 1) at shape -1, whose rounded product does not always
+    # invert to n + 1 (5.999999999999999 at n = 5).  eps = 1e-4 lies below
+    # the threshold 1/(n + 1) of every order up to 1000.
+    off = [n for n in range(1, 1001) if pelve_closed(Uniform(0, 1), n, 1e-4).value != n + 1]
+    assert off == []
+
+
+def test_small_shape_multipliers_are_within_1e_15():
+    # exp(log S_n / k): the power S_n^(1/k) multiplies the rounding of S_n by
+    # 1/k, 1.3e-4 relative at k = 1e-12 and n = 2.
+    off = []
+    with mpmath.workdps(40):
+        for k in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+            for n in (2, 40):
+                exact = _kernel_moment(n, k) ** (1 / mpmath.mpf(k))
+                for dist in _models(k):
+                    value, _ = dist.closed_multiplier(n)
+                    if _rel(value, exact) > 1e-15:
+                        off.append((dist, n, _rel(value, exact)))
+    assert off == []
 
 
 def test_multipliers_are_within_1e_13():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,51 @@ def test_cdf_examples():
     assert cdf(Pareto(1, 2), 2) == pytest.approx(0.75, abs=1e-15)
     assert cdf(GeneralizedPareto(0, 1), 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
     assert cdf(GeneralizedPareto(-1, 1), 2) == 1.0
+
+
+def test_excess_model_cdfs_keep_their_digits_next_to_the_threshold():
+    # G(y) = 1 - (1 + k y/b)^(-1/k) in 50-digit arithmetic.  In floats that
+    # power loses the digits of a small excess y (it gives 0 for
+    # GeneralizedPareto(0.5, 1) at y = 1e-17); -expm1(-log1p(k y/b)/k) keeps them.
+    # The uniform and the exponential run the same formula, at k = -1 and 0.
+    def gpd(u, k, b, fu, x):
+        y, k, b = mpmath.mpf(x) - u, mpmath.mpf(k), mpmath.mpf(b)
+        g = 1 - mpmath.exp(-y / b) if k == 0 else 1 - (1 + k * y / b) ** (-1 / k)
+        return fu + (1 - mpmath.mpf(fu)) * g
+
+    cases = []
+    with mpmath.workdps(50):
+        for y in (1e-17, 1e-12, 1e-9, 1e-3, 0.5, 3.0):
+            for k in (-0.5, -1e-9, 0.0, 1e-9, 0.5, 2.0):
+                for d, u, fu in ((GeneralizedPareto(k, 2.0), 0.0, 0.0),
+                                 (ExcessGPD(1.0, k, 2.0, 0.4), 1.0, 0.4)):
+                    cases.append((d, y, d.cdf(u + y), gpd(u, k, 2.0, fu, u + y)))
+            for scale, tail in ((1.0, 2.0), (2.0, 3.0), (1.0, 0.5)):
+                x = scale * (1.0 + y)
+                if x > scale:
+                    exact = 1 - (mpmath.mpf(scale) / mpmath.mpf(x)) ** tail
+                    cases.append((Pareto(scale, tail), y, Pareto(scale, tail).cdf(x), exact))
+            for lower, upper in ((0.0, 1.0), (-3.0, 5.0)):
+                x = lower + y
+                if x < upper:
+                    exact = (mpmath.mpf(x) - lower) / (upper - lower)
+                    cases.append((Uniform(lower, upper), y, Uniform(lower, upper).cdf(x), exact))
+            for rate in (1.0, 2.5):
+                exact = -mpmath.expm1(-rate * mpmath.mpf(y))
+                cases.append((Exponential(rate), y, Exponential(rate).cdf(y), exact))
+        off = [(d, y, got, float(exact)) for d, y, got, exact in cases
+               if abs(got - exact) > 5e-16 * exact]
+    assert off == []
+
+
+def test_fields_whose_shape_or_scale_overflows_are_rejected():
+    # 1/alpha, k/alpha, 1/rate or b - a past the float range would reach the
+    # formulas as inf: the first Pareto's cdf(2.0) was nan, the second's
+    # cdf(2e300) was 0.0, and the exponential's quantile(1e-300) was inf.
+    for make in (lambda: Pareto(1, 1e-310), lambda: Pareto(1e300, 1e-10),
+                 lambda: Exponential(1e-310), lambda: Uniform(-1e308, 1e308)):
+        with pytest.raises(InvalidParameter):
+            make()
 
 
 def test_cdf_below_threshold_errors():
