@@ -20,11 +20,15 @@ so ES-hat_n(1 - c*eps) <= VaR-hat(1 - eps) exactly when
     sum_{1 <= j < t} (t - j)^n d_j >= G t^n,
 
 a piecewise polynomial inequality in t of degree n whose breakpoints are
-the integers.
+the integers.  Its sums over j < t read only the top t order statistics,
+so the search for the root's integer cell starts at the top
+8*(floor(eps*m) + 1) of them and widens only the rows whose cell lies
+further down.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,12 +110,17 @@ def es_n_weights(m: int, n: int, p: float) -> np.ndarray:
 
 def _increments(m: int, n: int, p) -> np.ndarray:
     # h_p(i/m) - h_p((i-1)/m) for i = 1..m, with p a float (one row) or a
-    # (B, 1) column of levels (one row each).
-    h = np.subtract(np.arange(m + 1) / m, p)
+    # (B, 1) column of levels (one row each).  h_p(i/m) is 0 for i/m <= p,
+    # so h is formed only from a cell below the lowest level on, and the
+    # increments under it are the zeros its differences would give.
+    start = max(math.floor(float(np.min(p)) * m) - 1, 0)
+    h = np.subtract(np.arange(start, m + 1) / m, p)
     np.maximum(h, 0.0, out=h)
     h /= 1.0 - p
     h **= n
-    return h[..., 1:] - h[..., :-1]
+    w = np.zeros(h.shape[:-1] + (m,))
+    np.subtract(h[..., 1:], h[..., :-1], out=w[..., start:])
+    return w
 
 
 def empirical_es_n(sample: OrderedSample, n: int, p: float) -> float:
@@ -192,7 +201,11 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     identity, all terms nonnegative), the first K above eps*m where it
     reaches G K^n bounds the root's cell (K-1, K], and the root inside is
     solved in closed form for n <= 2 or bisected to the last bit for
-    n >= 3 (``iterations`` counts those steps).  ``residual`` is
+    n >= 3 (``iterations`` counts those steps).  The search for K starts
+    at the top P = min(m, 8*(floor(eps*m) + 1)) order statistics, which
+    hold the cell of every multiplier up to about 8; a row with no cell
+    there is searched again at 8P, and so on up to m, with the same bits
+    as a search over all m.  ``residual`` is
     |ES-hat_n - VaR-hat| at the returned c, from the distortion weights.
     Every step runs along each row on its own, so a row's result does not
     depend on the other rows.  Warns once when m*eps < 1.  Raises
@@ -227,16 +240,29 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     b = rows.shape[0]
     value, residual = np.empty(b), np.empty(b)
     iterations = np.empty(b, dtype=np.int64)
+    checks = _check_weights(m, n, eps)
     step = block_rows(m)
     for start in range(0, b, step):
         block = slice(start, start + step)
-        value[block], iterations[block], residual[block] = _solve_block(rows[block], n, eps)
+        value[block], iterations[block], residual[block] = _solve_block(
+            rows[block], n, eps, checks
+        )
     for column in (value, iterations, residual):
         column.flags.writeable = False
     return PelveColumns(value, iterations, residual)
 
 
-def _solve_block(x: np.ndarray, n: int, eps: float):
+# The existence check at p = 0 and the left endpoint c = 1 put every row on
+# the same level, so one read-only weight vector each serves every row of a
+# call, and of the next call with the same (m, n, eps): a study solves its
+# replicates one block per call.
+@functools.lru_cache(maxsize=1, typed=True)
+def _check_weights(m: int, n: int, eps: float) -> tuple:
+    return es_n_weights(m, n, 0.0), es_n_weights(m, n, 1.0 - eps)
+
+
+def _solve_block(x: np.ndarray, n: int, eps: float, checks: tuple):
+    # checks: the weights of the existence check at p = 0 and of c = 1.
     b, m = x.shape
     i_var = _var_index(m, 1.0 - eps)
     # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as 2^-e
@@ -247,10 +273,8 @@ def _solve_block(x: np.ndarray, n: int, eps: float):
     e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
     x = np.ldexp(x, -e[:, None])
     excess = x - x[:, i_var - 1, None]
-    # The existence check at p = 0 and the left endpoint c = 1 put every row
-    # on the same level, so one weight vector serves the whole block.
-    infinite = _row_dots(es_n_weights(m, n, 0.0), excess) > 0.0
-    g1 = _row_dots(es_n_weights(m, n, 1.0 - eps), excess)
+    infinite = _row_dots(checks[0], excess) > 0.0
+    g1 = _row_dots(checks[1], excess)
     solve = ~infinite & (g1 > 0.0)
     value = np.ones(b)
     iterations = np.zeros(b, dtype=np.int64)
@@ -313,37 +337,46 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
 
 
-def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
+def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = None):
     # Exact multiplier of every row of x, each scaled into (-1, 1) with its
     # gap positive at c = 1 and not at c = 1/eps; j_var = m - i_var, so
     # G = x_(m) - x_(m-j_var).  Returns (c, in-cell bisection steps).
+    #
+    # The root's cell is searched for among the top `width` order statistics
+    # only, at first 8(floor(eps*m) + 1) of them, which hold the cell of
+    # every multiplier up to 8.  The rows with no cell there are searched
+    # again at eight times the width, and so on up to all m.  A prefix of a
+    # cumulative sum has the bits of the full one, and nothing below reads
+    # past the cell, so each row gets the bits of the search over all m.
     k, m = x.shape
     if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
         raise OrderOutOfRange(
             f"order {n} is too large for the exact solve on {m} values "
             f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
         )
+    first = math.floor(eps * m) + 1
+    width = min(8 * first if width is None else width, m)
     rows = np.arange(k)
     eulerian = _eulerian(n)
     # s[r, :, n + i] = S_{r+1}(i), the (r+1)-fold cumulative sum of the top
-    # gaps d_1..d_i, so S_1(i) = x_(m) - x_(m-i); the n leading zero columns
-    # stand for i < 0.
-    s = np.empty((n + 1, k, m + n))
+    # gaps d_1..d_i for i < width, so S_1(i) = x_(m) - x_(m-i); the n leading
+    # zero columns stand for i < 0.
+    s = np.empty((n + 1, k, width + n))
     s[:, :, :n] = 0.0
-    np.subtract(x[:, -1:], x[:, ::-1], out=s[0, :, n:])
+    np.subtract(x[:, -1:], x[:, ::-1][:, :width], out=s[0, :, n:])
     for r in range(n):
         np.cumsum(s[r, :, n:], axis=1, out=s[r + 1, :, n:])
     g = s[0, :, n + j_var]
 
     # The root's cell is (K-1, K] for the first integer K above eps*m with
     # sum_{j<K} (K-j)^n d_j = sum_i A(n, i) S_{n+1}(K-n+i) >= G K^n.  Where
-    # rounding leaves no such K, K = m.
-    first = math.floor(eps * m) + 1
-    ks = np.arange(first, m + 1)
-    w = _weighted_sum(eulerian[n], (s[n, :, first + i : m + 1 + i] for i in range(n)))
+    # rounding leaves no such K up to m, K = m.
+    ks = np.arange(first, width + 1)
+    w = _weighted_sum(eulerian[n], (s[n, :, first + i : width + 1 + i] for i in range(n)))
     reached = w >= g[:, None] * _powers(ks.astype(float), n)
     at = reached.argmax(axis=1)
-    low = np.where(reached[rows, at], ks[at], m) - 1
+    found = reached[rows, at]
+    low = np.where(found, ks[at], width) - 1
     lowf = low.astype(float)
 
     # On that cell t = L + s with L = K-1 and s in [0, 1], and
@@ -354,6 +387,7 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
     for r in range(1, n + 1):
         q_r = _weighted_sum(eulerian[r], (s[r, rows, n + low - r + i] for i in range(r)))
         q.append(q_r - g * _powers(lowf, r))
+    del s, w, reached
     steps = np.zeros(k, dtype=np.int64)
     if n == 1:
         root = _divide(-q[1], q[0])
@@ -368,7 +402,13 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int):
     else:
         root, steps = _bisect_cell(q, lowf)
     t = lowf + np.clip(root, 0.0, 1.0)
-    return np.clip(t / (eps * m), 1.0, 1.0 / eps), steps
+    c = np.clip(t / (eps * m), 1.0, 1.0 / eps)
+    # Every step above runs along each row on its own, so the rows searched
+    # again do not change the others.
+    wider = ~found
+    if width < m and wider.any():
+        c[wider], steps[wider] = _roots(x[wider], n, eps, j_var, 8 * width)
+    return c, steps
 
 
 def _bisect_cell(q: list, lowf: np.ndarray):

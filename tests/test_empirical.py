@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelve import (
+    ExcessGPD,
     Exponential,
+    GeneralizedPareto,
     Normal,
     InvalidParameter,
     LevelOutOfRange,
     OrderOutOfRange,
     OrderedSample,
+    Pareto,
     SampleTooSmall,
     Uniform,
     empirical_es_n,
@@ -30,6 +33,7 @@ from pelve import (
     pelve_from_quantile,
     sample,
 )
+from pelve import empirical
 from pelve.empirical import block_rows
 from pelve.pelve_solver import PelveResult
 
@@ -573,3 +577,126 @@ def test_a_bool_is_no_order():
     for call in calls:
         with pytest.raises(OrderOutOfRange, match="got True"):
             call()
+
+
+# --- the prefix cell search ---------------------------------------------------
+
+def _full_width_roots(x, n, eps, j_var):
+    # The cell search over every row's full length, as it stood before the
+    # search began at the top order statistics: the oracle the prefix search
+    # must match bit for bit.
+    k, m = x.shape
+    if n * math.log2(m + n) > empirical._MAX_EXPONENT_BITS:
+        raise OrderOutOfRange("order too large")
+    rows = np.arange(k)
+    eulerian = empirical._eulerian(n)
+    s = np.empty((n + 1, k, m + n))
+    s[:, :, :n] = 0.0
+    np.subtract(x[:, -1:], x[:, ::-1], out=s[0, :, n:])
+    for r in range(n):
+        np.cumsum(s[r, :, n:], axis=1, out=s[r + 1, :, n:])
+    g = s[0, :, n + j_var]
+    first = math.floor(eps * m) + 1
+    ks = np.arange(first, m + 1)
+    w = empirical._weighted_sum(
+        eulerian[n], (s[n, :, first + i : m + 1 + i] for i in range(n)))
+    reached = w >= g[:, None] * empirical._powers(ks.astype(float), n)
+    at = reached.argmax(axis=1)
+    low = np.where(reached[rows, at], ks[at], m) - 1
+    lowf = low.astype(float)
+    q = [x[:, m - 1 - j_var] - x[rows, m - 1 - low]]
+    for r in range(1, n + 1):
+        q_r = empirical._weighted_sum(
+            eulerian[r], (s[r, rows, n + low - r + i] for i in range(r)))
+        q.append(q_r - g * empirical._powers(lowf, r))
+    steps = np.zeros(k, dtype=np.int64)
+    if n == 1:
+        root = empirical._divide(-q[1], q[0])
+    elif n == 2:
+        a, b, c = q
+        root = empirical._divide(-c, b + np.sqrt(np.maximum(b * b - a * c, 0.0)))
+    else:
+        root, steps = empirical._bisect_cell(q, lowf)
+    t = lowf + np.clip(root, 0.0, 1.0)
+    return np.clip(t / (eps * m), 1.0, 1.0 / eps), steps
+
+
+def _assert_full_width_bits(monkeypatch, rows, n, eps):
+    # Every row of the prefix search has the bits of the full-width search;
+    # returns the results.
+    got = _results(empirical_pelve_rows(rows, n, eps))
+    with monkeypatch.context() as patch:
+        patch.setattr(empirical, "_roots", _full_width_roots)
+        expected = _results(empirical_pelve_rows(rows, n, eps))
+    assert [_bits(r) for r in got] == [_bits(r) for r in expected], (n, eps)
+    return got
+
+
+def _draws(dist, count, m, seed=0):
+    return np.sort(np.stack([sample(dist, seed + r, m) for r in range(count)]), axis=1)
+
+
+def _first_width(m, eps):
+    # The number of top order statistics the cell search starts with.
+    return min(8 * (math.floor(eps * m) + 1), m)
+
+
+def _kinds(results, m, eps):
+    # Each row as infinite, one, rooted in the first prefix or past it.
+    kinds = []
+    for r in results:
+        if not r.is_finite:
+            kinds.append("inf")
+        elif r.value == 1.0:
+            kinds.append("one")
+        else:
+            wide = r.value * eps * m > _first_width(m, eps)
+            kinds.append("widened" if wide else "prefix")
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "dist", [Normal(0, 1), Pareto(1, 3), ExcessGPD(1, 0.3, 1, 0.9)], ids=repr
+)
+def test_prefix_search_has_the_bits_of_the_full_search(monkeypatch, dist):
+    rows = _draws(dist, 8, 5000)
+    for n in (1, 2, 3):
+        got = _assert_full_width_bits(monkeypatch, rows, n, 0.05)
+        if n <= 2:
+            # Multipliers below 8: every root lies in the first prefix.
+            assert set(_kinds(got, 5000, 0.05)) == {"prefix"}, n
+
+
+@pytest.mark.parametrize("dist", [Pareto(1, 1.2), GeneralizedPareto(0.8, 1)], ids=repr)
+def test_rows_rooted_past_the_first_prefix_are_searched_wider(monkeypatch, dist):
+    rows = _draws(dist, 12, 5000, seed=40)
+    for n in (1, 2, 3):
+        got = _assert_full_width_bits(monkeypatch, rows, n, 0.05)
+        if n >= 2:
+            assert "widened" in _kinds(got, 5000, 0.05), n
+
+
+@pytest.mark.parametrize("eps, orders", [(0.3, (1, 2)), (0.15, (1, 2, 3, 4))])
+def test_a_first_prefix_of_every_row_is_the_full_search(monkeypatch, eps, orders):
+    # 8(floor(eps*m) + 1) >= m: the first search already spans each row.
+    assert _first_width(20, eps) == 20
+    rng = np.random.Generator(np.random.PCG64(21))
+    rows = np.sort(rng.standard_normal((30, 20)), axis=1)
+    for n in orders:
+        got = _assert_full_width_bits(monkeypatch, rows, n, eps)
+        assert "prefix" in _kinds(got, 20, eps), n
+
+
+def test_a_block_mixes_prefix_widened_infinite_and_one_rows(monkeypatch):
+    m, eps = 1000, 0.05
+    light = _draws(Normal(0, 1), 3, m)
+    heavy = _draws(Pareto(1, 1.2), 20, m, seed=7)
+    tied = np.full((1, m), 0.37)  # c = 1
+    outlier = np.sort(sample(Normal(0, 1), 99, m))[None, :]
+    outlier[0, -1] = 1e6  # infinite
+    rows = np.concatenate([light, heavy[:5], tied, heavy[5:], outlier])
+    for n in (2, 3):
+        got = _assert_full_width_bits(monkeypatch, rows, n, eps)
+        assert set(_kinds(got, m, eps)) == {"inf", "one", "widened", "prefix"}, n
+        for row, result in zip(rows, got):
+            assert _bits(empirical_pelve_rows(row[None, :], n, eps).result(0)) == _bits(result)
