@@ -390,19 +390,22 @@ def _cmd_rolling(args, out, err) -> int:
     # Python floats; a float's repr is the text csv.writer writes for it.
     columns = [column.tolist() for column in res.values]
     if args.format == "json":
-        records = [
-            {
+        # The bytes of json.dump(records, out, indent=2), which runs the
+        # pure-Python encoder: each flat record goes through the C encoder
+        # with the indented item separator, and the records are joined by
+        # hand.  There is at least one window.
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        out.write("[\n" + ",\n".join(
+            "  {\n    " + encode({
                 "date": d,
                 "order": order,
                 "pelve": None if v == math.inf else v,
                 "infinite": v == math.inf,
                 "degenerate": res.degenerate,
-            }
+            })[1:-1] + "\n  }"
             for d, *values in zip(res.dates, *columns)
             for order, v in zip(cfg.orders, values)
-        ]
-        json.dump(records, out, indent=2)
-        out.write("\n")
+        ) + "\n]\n")
     else:
         flag = str(res.degenerate).lower()
         out.write("".join(

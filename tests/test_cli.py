@@ -454,6 +454,27 @@ def test_cli_rolling_inf_rendering_and_golden_stability():
     assert infinite and all(r["pelve"] is None for r in infinite)
 
 
+def test_cli_rolling_json_is_the_indented_dump(tmp_path):
+    # The records are encoded one at a time and indented by hand; the bytes
+    # are those of json.dump(records, indent=2), null pelve values and a
+    # single record included.
+    one = tmp_path / "p.csv"
+    one.write_text("date,price\n2020-01-01,100\n2020-01-02,100\n2020-01-03,100\n")
+    outputs = []
+    for args in (
+        ["rolling", "--input", str(DATA), "--kind", "returns", "--window", "100",
+         "--orders", "1,2,3"],
+        ["rolling", "--input", str(one), "--kind", "prices", "--window", "2",
+         "--epsilon", "0.2", "--orders", "1"],
+    ):
+        code, out, _ = run_cli(["--format", "json"] + args)
+        assert code == 0
+        outputs.append(json.loads(out))
+        assert out == json.dumps(outputs[-1], indent=2) + "\n"
+    many, single = outputs
+    assert any(r["pelve"] is None for r in many) and len(single) == 1
+
+
 def test_cli_import_loads_no_scipy():
     # Importing scipy.special took about two thirds of the CLI's start-up
     # time; nothing in pelve may bring it back.
