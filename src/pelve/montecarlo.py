@@ -1,13 +1,14 @@
 """Replicate studies of the empirical equivalent-level multiplier:
 seeded sampling, summary statistics and histogram export.
 
-Replicate r draws its sample with seed ``seed XOR r`` (r = 1..R), so the
-study is deterministic for a given seed and replicates stay independent of
-evaluation order or parallelism.  Replicates are solved in blocks: each
+Replicate r draws its sample with the seed ``replicate_seed(seed, r)`` =
+(seed + r)(seed + r + 1)/2 + r (r = 1..R), the Cantor pairing of seed and
+r.  No two (seed, r) pairs share a seed, so studies under different seeds
+never reuse each other's draws; a study is deterministic in its seed and
+independent of evaluation order.  Replicates are solved in blocks: each
 block of draws is stacked, sorted along its rows and passed to the batched
 empirical solve, which gives every replicate the same estimate, bit for
-bit, as ``empirical_pelve`` on its own sample.  The draws and their seeds
-are unchanged.
+bit, as ``empirical_pelve`` on its own sample.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ _DEFAULT_BINS = 30
 
 
 def replicate_seed(seed: int, r: int) -> int:
-    """Seed of replicate r (1-based): seed XOR r."""
-    return seed ^ r
+    """Seed of replicate r (1-based): the Cantor pairing
+    (seed + r)(seed + r + 1)/2 + r, one distinct integer for every
+    (seed, r) with seed >= 0 and r >= 1."""
+    return (seed + r) * (seed + r + 1) // 2 + r
 
 
 @dataclass(frozen=True)

@@ -360,10 +360,11 @@ def test_cli_simulate_json():
 
 
 def test_cli_simulate_reports_failed_replicates_on_stderr():
-    # pareto:1,0.01 overflows the float range in most draws: those replicates
-    # fail, quietly as far as numpy goes, and one stderr line counts them.
+    # pareto:1,0.01 overflows the float range in some draws (replicates 2
+    # and 4 under seed 11): those replicates fail, quietly as far as numpy
+    # goes, and one stderr line counts them.
     args = ["simulate", "--dist", "pareto:1,0.01", "--replicates", "5",
-            "--length", "200", "--seed", "1"]
+            "--length", "200", "--seed", "11"]
     code, out, err = run_cli(args)
     assert code == 0
     assert "finite_count,0" in out.splitlines()

@@ -51,6 +51,25 @@ def test_blocked_study_equals_per_replicate_solves(dist):
     assert res.failures == ()
 
 
+def test_replicate_seeds_never_collide():
+    # seed XOR r gave replicate_seed(0, 3) == replicate_seed(1, 2) == 3, so
+    # studies under neighbouring seeds shared draws.
+    assert replicate_seed(0, 3) != replicate_seed(1, 2)
+    pairs = [(seed, r) for seed in range(200) for r in range(1, 201)]
+    assert len({replicate_seed(seed, r) for seed, r in pairs}) == len(pairs)
+    big = 2 ** 64
+    assert replicate_seed(big, 1) != replicate_seed(big - 1, 2)
+    assert all(replicate_seed(seed, r) >= 0 for seed, r in pairs[:50])
+
+
+def test_studies_under_neighbouring_seeds_share_no_draw():
+    draws = {
+        sample(Normal(0, 1), replicate_seed(seed, r), 10).tobytes()
+        for seed in range(6) for r in range(1, 7)
+    }
+    assert len(draws) == 36
+
+
 def test_replicate_failures_keep_their_place():
     # Pareto(1, 0.01) overflows to inf in some draws of 200; those replicates
     # fail with the message a per-sample OrderedSample would give, and the
