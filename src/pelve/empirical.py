@@ -240,29 +240,25 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     b = rows.shape[0]
     value, residual = np.empty(b), np.empty(b)
     iterations = np.empty(b, dtype=np.int64)
-    checks = _check_weights(m, n, eps)
     step = block_rows(m)
     for start in range(0, b, step):
         block = slice(start, start + step)
-        value[block], iterations[block], residual[block] = _solve_block(
-            rows[block], n, eps, checks
-        )
+        value[block], iterations[block], residual[block] = _solve_block(rows[block], n, eps)
     for column in (value, iterations, residual):
         column.flags.writeable = False
     return PelveColumns(value, iterations, residual)
 
 
 # The existence check at p = 0 and the left endpoint c = 1 put every row on
-# the same level, so one read-only weight vector each serves every row of a
-# call, and of the next call with the same (m, n, eps): a study solves its
+# the same level, so one read-only weight vector each serves every block
+# with the same (m, n, eps), also across calls: a study solves its
 # replicates one block per call.
 @functools.lru_cache(maxsize=1, typed=True)
 def _check_weights(m: int, n: int, eps: float) -> tuple:
     return es_n_weights(m, n, 0.0), es_n_weights(m, n, 1.0 - eps)
 
 
-def _solve_block(x: np.ndarray, n: int, eps: float, checks: tuple):
-    # checks: the weights of the existence check at p = 0 and of c = 1.
+def _solve_block(x: np.ndarray, n: int, eps: float):
     b, m = x.shape
     i_var = _var_index(m, 1.0 - eps)
     # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as 2^-e
@@ -273,8 +269,9 @@ def _solve_block(x: np.ndarray, n: int, eps: float, checks: tuple):
     e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
     x = np.ldexp(x, -e[:, None])
     excess = x - x[:, i_var - 1, None]
-    infinite = _row_dots(checks[0], excess) > 0.0
-    g1 = _row_dots(checks[1], excess)
+    at_zero, at_one = _check_weights(m, n, eps)
+    infinite = _row_dots(at_zero, excess) > 0.0
+    g1 = _row_dots(at_one, excess)
     solve = ~infinite & (g1 > 0.0)
     value = np.ones(b)
     iterations = np.zeros(b, dtype=np.int64)
