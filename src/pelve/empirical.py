@@ -367,7 +367,8 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = No
 
     # The root's cell is (K-1, K] for the first integer K above eps*m with
     # sum_{j<K} (K-j)^n d_j = sum_i A(n, i) S_{n+1}(K-n+i) >= G K^n.  Where
-    # rounding leaves no such K up to m, K = m.
+    # no such K lies within the width, K = width: at width m that is where
+    # rounding leaves none, and below m such a row is searched again wider.
     ks = np.arange(first, width + 1)
     w = _weighted_sum(eulerian[n], (s[n, :, first + i : width + 1 + i] for i in range(n)))
     reached = w >= g[:, None] * _powers(ks.astype(float), n)
@@ -384,7 +385,7 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = No
     for r in range(1, n + 1):
         q_r = _weighted_sum(eulerian[r], (s[r, rows, n + low - r + i] for i in range(r)))
         q.append(q_r - g * _powers(lowf, r))
-    del s, w, reached
+    del s, w, reached  # before a wider search builds its own
     steps = np.zeros(k, dtype=np.int64)
     if n == 1:
         root = _divide(-q[1], q[0])
