@@ -203,7 +203,7 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     solved in closed form for n <= 2 or bisected to the last bit for
     n >= 3 (``iterations`` counts those steps).  The search for K starts
     at the top P = min(m, 8*(floor(eps*m) + 1)) order statistics, which
-    hold the cell of every multiplier up to about 8; a row with no cell
+    hold the cell of every multiplier up to 8; a row with no cell
     there is searched again at 8P, and so on up to m, with the same bits
     as a search over all m.  ``residual`` is
     |ES-hat_n - VaR-hat| at the returned c, from the distortion weights.
