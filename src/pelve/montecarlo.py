@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionModel, sample
-from .empirical import _NOT_FINITE, block_rows, empirical_pelve_rows
+from .empirical import block_rows, empirical_pelve_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
 from .errors import InvalidParameter, NoFiniteEstimates, PelveError
@@ -76,21 +76,16 @@ def _finite_values(estimates) -> np.ndarray:
 def _estimate_rows(block: np.ndarray, cfg: StudyConfig):
     # The value column of the sorted rows of the block (nan where a row
     # fails), and per row its PelveResult or error message.
-    finite = np.isfinite(block).all(axis=1)
     try:
-        solved = empirical_pelve_rows(
-            block if finite.all() else block[finite], cfg.n, cfg.eps
-        )
+        solved = empirical_pelve_rows(block, cfg.n, cfg.eps)
     except PelveError as exc:
         if len(block) > 1:
-            # The error may come from some rows only: solve each on its own.
+            # The error may come from some rows only, such as a draw that
+            # overflowed to inf: solve each on its own.
             rows = [_estimate_rows(row[None, :], cfg) for row in block]
             return np.concatenate([v for v, _ in rows]), [o for _, (o,) in rows]
-        return np.full(1, math.nan), [str(exc) if finite[0] else _NOT_FINITE]
-    values = np.full(len(block), math.nan)
-    values[finite] = solved.value
-    results = map(solved.result, range(len(solved)))
-    return values, [next(results) if ok else _NOT_FINITE for ok in finite.tolist()]
+        return np.full(1, math.nan), [str(exc)]
+    return solved.value, list(map(solved.result, range(len(solved))))
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
