@@ -586,8 +586,6 @@ def _full_width_roots(x, n, eps, j_var):
     # search began at the top order statistics: the oracle the prefix search
     # must match bit for bit.
     k, m = x.shape
-    if n * math.log2(m + n) > empirical._MAX_EXPONENT_BITS:
-        raise OrderOutOfRange("order too large")
     rows = np.arange(k)
     eulerian = empirical._eulerian(n)
     s = np.empty((n + 1, k, m + n))
