@@ -73,19 +73,17 @@ def _finite_values(estimates) -> np.ndarray:
     return np.array([e.value for e in estimates if e is not None and e.is_finite])
 
 
-def _estimate_rows(block: np.ndarray, cfg: StudyConfig):
-    # The value column of the sorted rows of the block (nan where a row
-    # fails), and per row its PelveResult or error message.
+def _estimate_rows(block: np.ndarray, cfg: StudyConfig) -> list:
+    # Per sorted row of the block, its PelveResult or error message.
     try:
         solved = empirical_pelve_rows(block, cfg.n, cfg.eps)
     except PelveError as exc:
         if len(block) > 1:
             # The error may come from some rows only, such as a draw that
             # overflowed to inf: solve each on its own.
-            rows = [_estimate_rows(row[None, :], cfg) for row in block]
-            return np.concatenate([v for v, _ in rows]), [o for _, (o,) in rows]
-        return np.full(1, math.nan), [str(exc)]
-    return solved.value, list(map(solved.result, range(len(solved))))
+            return [outcome for row in block for outcome in _estimate_rows(row[None, :], cfg)]
+        return [str(exc)]
+    return list(map(solved.result, range(len(solved))))
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -98,7 +96,6 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     """
     estimates: list = []
     failures: list = []
-    values: list = []
     m = cfg.sample_len
     step = block_rows(m)
     for first in range(1, cfg.replicates + 1, step):
@@ -109,17 +106,14 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         # Any sort will do: it can only order -0.0 against 0.0 differently
         # from OrderedSample's stable sort, which no estimate can see.
         block.sort(axis=1)
-        block_values, outcomes = _estimate_rows(block, cfg)
-        values.append(block_values)
-        for r, outcome in zip(replicates, outcomes):
+        for r, outcome in zip(replicates, _estimate_rows(block, cfg)):
             if isinstance(outcome, str):
                 failures.append((r, outcome))
                 estimates.append(None)
             else:
                 estimates.append(outcome)
 
-    values = np.concatenate(values)
-    finite = values[np.isfinite(values)]
+    finite = _finite_values(estimates)
     k = finite.size
     mean = float(finite.mean()) if k else math.nan
     stddev = float(finite.std(ddof=1)) if k > 1 else 0.0
