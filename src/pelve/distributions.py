@@ -20,7 +20,9 @@ which its draws go through.
 ``quantile(p)`` and ``tail_quantile(t)`` (the quantile at 1 - t) map a float
 to a Python float and a numpy array to an array of the same shape.
 ``es_closed(n, p)`` and ``closed_multiplier(n)`` give ES_n and PELVE_n in
-closed form, or raise NoClosedForm.  Every family has ES_n at every order
+closed form, or raise NoClosedForm.  These four methods check the level,
+tail probability or order of every family evaluation; the formulas behind
+them check nothing.  Every family has ES_n at every order
 while its tail has a first moment; the excess models take theirs from one
 kernel moment S_n = n B(n, 1 - kappa) (``_kernel_moment``).  The normal has
 no closed multiplier.  ``level_floor`` is the lowest level the model
@@ -78,6 +80,12 @@ def _check_order(n: int) -> None:
         raise OrderOutOfRange(f"order must be a positive integer, got {n!r}")
 
 
+def _check_tail_level(p: float) -> None:
+    # The level of an ES_n, of any family, quantile callable or sample.
+    if not 0.0 <= p < 1.0:
+        raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
+
+
 # A solve calls es_closed many times at one (n, kappa): H_n and log S_n are
 # O(n) sums, so each is computed once.  typed keeps harmonic_number(True)
 # from hitting the entry of 1.
@@ -104,8 +112,12 @@ def _kernel_moment(n: int, k: float) -> float:
 @functools.lru_cache(maxsize=256, typed=True)
 def _log_kernel_moment(n: int, k: float) -> float:
     """log S_n, summed as log1p(k/(j - k)), which keeps the digits of a
-    small k."""
+    small k.  Below k = -1 each term is -log1p(-k/j) instead: there
+    j/(j - k) < 1/2, where the first form loses digits, and k/(j - k)
+    rounds to -1 for a k near the float limit."""
     _check_first_moment(k)
+    if k < -1.0:
+        return -math.fsum([math.log1p(-k / j) for j in range(1, n + 1)])
     return math.fsum([math.log1p(k / (j - k)) for j in range(1, n + 1)])
 
 
@@ -117,10 +129,6 @@ def _check_first_moment(k: float) -> None:
 # Floats go through plain comparisons and ``math``: numpy on one float costs
 # several times the formula itself, and its vectorised log may differ from
 # libm by an ulp.  Arrays go through numpy.
-
-def _holds(cond) -> bool:
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else cond
-
 
 def _log(x):
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
@@ -295,28 +303,12 @@ def _ndtri(x):
     return _ndtri_array(x) if isinstance(x, np.ndarray) else _ndtri_float(x)
 
 
-def _in_unit(x, what: str):
-    # VaR at p=0 would be -inf by convention; we reject it instead.
-    if not isinstance(x, np.ndarray):
-        x = float(x)
-    if not _holds((x > 0.0) & (x < 1.0)):
-        raise LevelOutOfRange(f"{what} must lie in (0, 1), got {x}")
-    return x
-
-
-def _inside(x, low, high) -> bool:
-    # low < x < high for a float, or for every element of an array in one
-    # combined test; 0-d bounds spare numpy its Python-float scalar path.
-    if isinstance(x, np.ndarray):
-        return bool(((x > np.asarray(low)) & (x < np.asarray(high))).all())
-    return low < x < high
-
-
 class _Family:
-    """Checked entry points over each family's unchecked ``_quantile`` and
-    ``_tail_quantile`` formulas.  level_floor >= 0, so one test of
-    level_floor < p < 1 (or 0 < t < 1 - level_floor) stands for both range
-    checks; only when it fails do the separate checks run, to raise."""
+    """The one checked entry to every family evaluation.  ``quantile``,
+    ``tail_quantile``, ``es_closed`` and ``closed_multiplier`` check the
+    level, tail probability or order, then call the family's unchecked
+    ``_quantile``, ``_tail_quantile``, ``_es_closed`` or
+    ``_closed_multiplier``, which check nothing again."""
 
     level_floor = 0.0
 
@@ -334,44 +326,62 @@ class _Family:
     def quantile(self, p):
         """Value at Risk at level ``p`` in (level_floor, 1): the lower
         quantile inf{x : F(x) >= p}, by the family's closed form."""
-        if not isinstance(p, np.ndarray):
-            p = float(p)
-        if not _inside(p, self.level_floor, 1.0):
-            p = _in_unit(p, "level")
-            if not _holds(p > self.level_floor):
-                raise ExcessGPDLevelBelowBase(
-                    f"quantile requires p > base_cdf_at_u={self.level_floor}, got p={p}"
-                )
-        try:
-            return self._quantile(p)
-        except OverflowError:  # raised by float **; arrays overflow to inf
-            raise QuantileOverflow(
-                f"quantile of {self!r} at level {p} exceeds the float range"
-            ) from None
+        return self._evaluate(self._quantile, p, "level", self.level_floor, 1.0,
+                              "quantile requires p > base_cdf_at_u={low}, got p={x}")
 
     def tail_quantile(self, t):
         """The quantile at level 1 - t, computed from the tail probability
         ``t`` directly, so it stays accurate for t far below the float
         spacing at 1 (which matters when integrating heavy tails)."""
-        if not isinstance(t, np.ndarray):
-            t = float(t)
-        if not _inside(t, 0.0, 1.0 - self.level_floor):
-            t = _in_unit(t, "tail probability")
-            if not _holds(t < 1.0 - self.level_floor):
-                raise ExcessGPDLevelBelowBase(
-                    "tail probability must be below 1 - base_cdf_at_u = "
-                    f"{1.0 - self.level_floor}"
-                )
+        return self._evaluate(self._tail_quantile, t, "tail probability", 0.0, 1.0 - self.level_floor,
+                              "tail probability must be below 1 - base_cdf_at_u = {high}")
+
+    def _evaluate(self, formula, x, what: str, low: float, high: float, below_base: str):
+        # formula(x) for a float x, or every element of an array x, in
+        # (low, high), 0 <= low < high <= 1.  Only when that one test fails
+        # do the (0, 1) check and then the model's bound run, to raise (VaR
+        # at level 0 would be -inf by convention; it is rejected instead).
+        # A float quantile past the float range raises; an array passes inf
+        # through, as ``sample`` needs.
+        if isinstance(x, np.ndarray):
+            # 0-d bounds spare numpy its Python-float scalar path.
+            inside = bool(((x > np.asarray(low)) & (x < np.asarray(high))).all())
+        else:
+            x = float(x)
+            inside = low < x < high
+        if not inside:
+            if not np.all((x > 0.0) & (x < 1.0)):
+                raise LevelOutOfRange(f"{what} must lie in (0, 1), got {x}")
+            raise ExcessGPDLevelBelowBase(below_base.format(low=low, high=high, x=x))
         try:
-            return self._tail_quantile(t)
-        except OverflowError:
-            raise QuantileOverflow(
-                f"quantile of {self!r} at tail probability {t} exceeds the float range"
-            ) from None
+            value = formula(x)
+        except OverflowError:  # raised by float **
+            value = math.inf
+        if not isinstance(x, np.ndarray) and not math.isfinite(value):
+            raise QuantileOverflow(f"quantile of {self!r} at {what} {x} exceeds the float range")
+        return value
+
+    def es_closed(self, n: int, p: float) -> float:
+        """ES_n at level p in [level_floor, 1) in closed form; raises
+        NoClosedForm where the tail has no first moment."""
+        _check_order(n)
+        _check_tail_level(p)
+        if p < self.level_floor:
+            # The excess model is silent below its threshold; p = F(u) itself
+            # is fine (the ES then averages the whole modeled tail).
+            raise LevelOutOfRange(
+                f"excess model requires level >= base_cdf_at_u={self.level_floor}, got {p}"
+            )
+        return self._es_closed(n, p)
 
     def closed_multiplier(self, n: int) -> tuple[float, float]:
         """(PELVE_n, largest eps it holds for) in closed form; above that
-        eps the multiplier is infinite."""
+        eps the multiplier is infinite.  Raises NoClosedForm where the
+        family has none."""
+        _check_order(n)
+        return self._closed_multiplier(n)
+
+    def _closed_multiplier(self, n: int) -> tuple[float, float]:
         raise NoClosedForm(f"no closed multiplier for {self!r}")
 
 
@@ -392,8 +402,11 @@ class _GPDFormulas(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        # 1/alpha, k/alpha, 1/rate and b - a overflow for some finite fields.
-        if not all(math.isfinite(v) for v in self._gpd()):
+        # 1/alpha, k/alpha, 1/rate and b - a overflow for some finite fields,
+        # and b/k, the factor of every quantile and ES, can overflow or
+        # underflow to 0, where the formulas would give inf or nan.
+        u, k, b, fu = self._gpd()
+        if not (all(map(math.isfinite, (u, k, b, fu))) and (k == 0.0 or 0.0 < abs(b / k) < math.inf)):
             raise InvalidParameter(
                 f"{self!r} has a generalized-Pareto shape or scale beyond the float range"
             )
@@ -424,30 +437,22 @@ class _GPDFormulas(_Family):
         u, k, b, fu = self._gpd()
         return _excess(u, k, b, _log(t) - math.log1p(-fu))
 
-    def es_closed(self, n: int, p: float) -> float:
-        """Closed-form ES_n at level p in [level_floor, 1), every order, for
-        shape < 1."""
+    def _es_closed(self, n: int, p: float) -> float:
+        # Every order, for shape < 1.
         u, k, b, fu = self._gpd()
-        if p < fu:
-            # The excess model is silent below its threshold; p = fu itself is
-            # fine (the ES then averages the whole modeled tail).
-            raise LevelOutOfRange(
-                f"excess model requires level >= base_cdf_at_u={fu}, got {p}"
-            )
         log_x = math.log1p(-p) - math.log1p(-fu)
-        if k == 0.0:
-            return _excess(u, k, b, log_x, h=harmonic_number(n))
-        return _excess(u, k, b, log_x, _log_kernel_moment(n, k))
+        return _excess(u, k, b, log_x, _log_kernel_moment(n, k), harmonic_number(n))
 
-    def closed_multiplier(self, n: int) -> tuple[float, float]:
+    def _closed_multiplier(self, n: int) -> tuple[float, float]:
         _, k, _, fu = self._gpd()
         if k == 0.0:
             value = math.exp(harmonic_number(n))
         elif k == -1.0:
             # S_n = 1/(n + 1), whose rounded product need not invert to n + 1.
             value = float(n + 1)
-        elif abs(k) < 0.1:
-            # The power 1/k would multiply the few ulps by which S_n is off.
+        elif abs(k) < 0.1 or k < -1.0:
+            # At a small |k| the power 1/k would multiply the few ulps by
+            # which S_n is off; below k = -1 S_n may underflow to 0.
             value = math.exp(_log_kernel_moment(n, k) / k)
         else:
             value = _kernel_moment(n, k) ** (1.0 / k)
@@ -499,9 +504,9 @@ class Normal(_Family):
     def _tail_quantile(self, t):
         return self.mean - self.stddev * _ndtri(t)
 
-    def es_closed(self, n: int, p: float) -> float:
-        """ES_n at level p in [0, 1), every order: closed forms at orders 1
-        and 2, the erfc integral of ``_normal_es`` above them."""
+    def _es_closed(self, n: int, p: float) -> float:
+        # Every order: closed forms at orders 1 and 2, the erfc integral of
+        # ``_normal_es`` above them.
         if n > 2:
             return self.mean + self.stddev * _normal_es(n, p)
         # z = -inf at p = 0, where exp gives 0 and erfc gives 2.

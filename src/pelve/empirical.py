@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_order
+from .distributions import _check_order, _check_tail_level
 from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, SampleTooSmall
 from .pelve_solver import PelveResult, _check_level_eps
 
@@ -99,8 +99,7 @@ def es_n_weights(m: int, n: int, p: float) -> np.ndarray:
     h_p(s) = ((s-p)/(1-p))^n on [p, 1] and 0 below p.  For
     p >= (m-1)/m all the mass falls in the top cell, exactly."""
     _check_order(n)
-    if not 0.0 <= p < 1.0:
-        raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
+    _check_tail_level(p)
     if m < 1:
         raise InvalidParameter(f"m must be >= 1, got {m}")
     w = _increments(m, n, p)
@@ -273,9 +272,11 @@ def _solve_block(x: np.ndarray, n: int, eps: float):
     infinite = _row_dots(at_zero, excess) > 0.0
     g1 = _row_dots(at_one, excess)
     solve = ~infinite & (g1 > 0.0)
-    value = np.ones(b)
+    # An infinite row's residual is 0 before the residuals go back by 2^e,
+    # which its discarded c = 1 gap could overflow.
+    value = np.where(infinite, math.inf, 1.0)
     iterations = np.zeros(b, dtype=np.int64)
-    residual = np.abs(g1)
+    residual = np.where(infinite, 0.0, np.abs(g1))
     # The open rows' excess is formed again for their residual, so that the
     # root search runs with one block-sized buffer fewer.
     del excess
@@ -287,10 +288,7 @@ def _solve_block(x: np.ndarray, n: int, eps: float):
         excess = x - x[:, i_var - 1, None]
         levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
         residual[solve] = np.abs(_row_dots(_increments(m, n, levels), excess))
-    residual = np.ldexp(residual, e)
-    value[infinite] = math.inf
-    residual[infinite] = 0.0
-    return value, iterations, residual
+    return value, iterations, np.ldexp(residual, e)
 
 
 def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:

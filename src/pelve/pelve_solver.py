@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .distributions import DistributionModel, _check_order, _log_kernel_moment, quantile
+from .distributions import DistributionModel, _log_kernel_moment, quantile
 from .errors import (
     AlphaOutOfRange,
     ExcessGPDLevelBelowBase,
@@ -265,8 +265,8 @@ def pelve_closed(dist: DistributionModel, n: int, eps: float) -> PelveResult:
     models with one formula, S_n^(1/shape) for the kernel moment S_n (its
     limit exp(H_n) at shape 0); none for the normal.  Below the family
     threshold the value is a constant independent of eps; above it the
-    result is infinite."""
-    _check_order(n)
+    result is infinite.  The family's ``closed_multiplier`` checks the
+    order."""
     _check_eps(eps)
     _check_var_level(dist, eps)
     value, threshold = dist.closed_multiplier(n)

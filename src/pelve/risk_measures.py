@@ -10,8 +10,9 @@ the normal through erfc (an integral at orders 3 and up, see
 ``distributions._normal_es``), and the others, each a generalized-Pareto
 excess model, from one formula set on one kernel moment: the uniform, the
 exponential, Pareto (tail > 1) and the generalized-Pareto types (shape < 1).
-``es_n``, ``tail_gini`` and ``gini_shortfall`` take the closed forms; a tail
-without a first moment raises NoClosedForm.
+``es_n``, ``tail_gini`` and ``gini_shortfall`` take the closed forms, whose
+``es_closed`` checks the order and the level; a tail without a first moment
+raises NoClosedForm.
 
 Quadrature serves quantile callables only (``es_n_quadrature``, and
 ``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``).  It
@@ -43,10 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionModel, _check_order, harmonic_number
+from .distributions import DistributionModel, _check_order, _check_tail_level, harmonic_number
 # No longer called here, but perfbench/tracing.py wraps these names.
 from .distributions import quantile, tail_quantile  # noqa: F401
-from .errors import InvalidParameter, LevelOutOfRange, QuadratureNonConvergence
+from .errors import InvalidParameter, QuadratureNonConvergence
 
 __all__ = [
     "EsMethod",
@@ -91,22 +92,16 @@ class GiniParams:
         return self.loading <= 0.5
 
 
-def _check_tail_level(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise LevelOutOfRange(f"level must lie in [0, 1), got {p}")
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
 def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
-    """Closed-form n-th-order Expected Shortfall, where one exists.
+    """Closed-form n-th-order Expected Shortfall, where one exists: the
+    family's ``es_closed``, which checks the order and the level.
 
     Raises NoClosedForm where the tail has no first moment.
     """
-    _check_order(n)
-    _check_tail_level(p)
     return dist.es_closed(n, p)
 
 

@@ -8,6 +8,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pelve import (
     ExcessGPD,
@@ -333,6 +335,95 @@ def test_cli_analytic_quantile_overflow_exits_2():
     assert code == 2 and out == ""
     assert err.startswith("pelve: quantile of Pareto") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_analytic_infinite_quantile_exits_2():
+    # mean + stddev * z overflows to inf; the VaR is past the float range,
+    # so no ES row or solve sees an infinite level.
+    code, out, err = run_cli(["analytic", "--dist", "normal:1e308,1e308", "--order", "3"])
+    assert code == 2 and out == ""
+    assert err == (
+        "pelve: quantile of Normal(mean=1e+308, stddev=1e+308) at level 0.95 "
+        "exceeds the float range\n"
+    )
+
+
+_SHAPE_BEYOND = "has a generalized-Pareto shape or scale beyond the float range"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # log S_n summed as log1p(k/(j - k)) hit log1p(-1): a ValueError.
+        (["analytic", "--dist", "gpd:-1e17,1", "--order", "2"], 0, ""),
+        (["analytic", "--dist", "gpd:-1e17,1", "--order", "2", "--closed-only"], 0, ""),
+        # S_n underflowed to 0, and 0 ** (1/k) raised ZeroDivisionError.
+        (["analytic", "--dist", "gpd:-1.7e308,1", "--order", "2", "--closed-only"], 0, ""),
+        (["analytic", "--dist", "excessgpd:2,-1.7e308,1e-17,1e-17", "--order", "3",
+          "--epsilon", "1e-5", "--closed-only"], 1, _SHAPE_BEYOND),
+        # scale/shape overflowed, and the solve reached a nan level.
+        (["analytic", "--dist", "gpd:1e-310,1"], 1, _SHAPE_BEYOND),
+        (["analytic", "--dist", "gpd:-1e-300,1e300"], 1, _SHAPE_BEYOND),
+        # scale/shape underflowed to 0, and 0 * inf warned in every draw.
+        (["simulate", "--dist", "gpd:1.7e308,1e-300", "--replicates", "3", "--length", "50"],
+         1, _SHAPE_BEYOND),
+    ],
+)
+def test_cli_extreme_generalized_pareto_shapes(argv, code, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_cli(argv)
+    assert got[0] == code and err in got[2] and got[2].count("\n") == (1 if err else 0)
+
+
+def test_cli_empirical_infinite_row_across_the_float_range_is_silent(tmp_path):
+    # The infinite row's discarded c = 1 gap overflowed when it was scaled
+    # back, and stderr got numpy's RuntimeWarning.
+    data = tmp_path / "r.csv"
+    data.write_text("date,return\n" + "".join(
+        f"2020-01-{d:02d},{-1.7e308 if d <= 5 else 1.7e308}\n" for d in range(1, 11)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["empirical", "--input", str(data), "--kind", "returns",
+                                  "--order", "1", "--epsilon", "0.9"])
+    assert code == 0 and err == "" and "pelve_1,inf\n" in out
+
+
+# Fields of every CLI family from the float extremes; most are rejected, and
+# the rest reach the float limits in a quantile, an ES row or the solve.
+_EXTREMES = ("0", "1e-320", "-1e-320", "1e-300", "-1e-300", "1e17", "-1e17", "1e300",
+             "-1e300", "1.7e308", "-1.7e308", "1", "-1", "0.5")
+_ARITY = {"uniform": 2, "exp": 1, "normal": 2, "pareto": 2, "gpd": 2, "excessgpd": 4}
+
+
+@st.composite
+def _extreme_families(draw):
+    name = draw(st.sampled_from(sorted(_ARITY)))
+    fields = draw(st.lists(st.sampled_from(_EXTREMES), min_size=_ARITY[name], max_size=_ARITY[name]))
+    return f"{name}:{','.join(fields)}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_extreme_families(), order=st.integers(1, 5),
+       eps=st.sampled_from(("0.05", "1e-5", "1e-12")))
+@example(spec="gpd:-1e17,1", order=2, eps="0.05")
+@example(spec="excessgpd:2,-1.7e308,1e-17,1e-17", order=3, eps="1e-5")
+@example(spec="gpd:-1.7e308,1", order=2, eps="0.05")
+@example(spec="gpd:1e-310,1", order=1, eps="0.05")
+@example(spec="gpd:-1e-300,1e300", order=1, eps="0.05")
+@example(spec="gpd:1.7e308,1e-300", order=2, eps="0.05")
+@example(spec="normal:1e308,1e308", order=3, eps="0.05")
+def test_cli_extreme_families_never_raise(spec, order, eps):
+    # Exit 0, 1 or 2 with a typed error: no traceback, no RuntimeWarning and
+    # no nan level reaching a check.
+    common = ["--dist", spec, "--order", str(order), "--epsilon", eps]
+    for argv in (["analytic", *common], ["analytic", *common, "--closed-only"],
+                 ["simulate", *common, "--replicates", "2", "--length", "20"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(argv)
+        assert code in (0, 1, 2), argv
+        assert "got nan" not in err, (argv, err)
 
 
 def test_cli_empirical_from_file():

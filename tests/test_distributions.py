@@ -16,6 +16,7 @@ from pelve import (
     InvalidParameter,
     LevelOutOfRange,
     Normal,
+    OrderOutOfRange,
     Pareto,
     QuantileOverflow,
     Uniform,
@@ -299,6 +300,68 @@ def test_float_quantile_overflow_is_typed():
         GeneralizedPareto(300, 1).quantile(0.95)
     # Below the overflow the float formula and its bits are unchanged.
     assert Pareto(1, 0.01).quantile(0.95) == 1.0 * (1.0 - 0.95) ** (-1.0 / 0.01)
+
+
+def test_infinite_float_quantile_is_typed():
+    # mean + stddev * z overflows to inf without a float ** to raise; an
+    # array passes inf through, as ``sample`` needs.
+    d = Normal(1e308, 1e308)
+    with pytest.raises(QuantileOverflow, match=r"at level 0\.95 exceeds the float range"):
+        d.quantile(0.95)
+    with pytest.raises(QuantileOverflow, match=r"at tail probability 0\.05 exceeds"):
+        d.tail_quantile(0.05)
+    with np.errstate(over="ignore"):
+        assert d.quantile(np.array([0.95]))[0] == math.inf
+    assert d.quantile(0.5) == 1e308
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+def test_family_methods_check_order_and_level(dist):
+    # The four family methods are the checked entry; the formulas behind
+    # them check nothing.
+    p = max(dist.level_floor, 0.5)
+    for n in (0, -3, 2.5, True):
+        with pytest.raises(OrderOutOfRange):
+            dist.es_closed(n, p)
+        with pytest.raises(OrderOutOfRange):
+            dist.closed_multiplier(n)
+    for level in (-0.5, 1.0, 1.5, math.nan):
+        with pytest.raises(LevelOutOfRange, match=r"level must lie in \[0, 1\)"):
+            dist.es_closed(2, level)
+
+
+@pytest.mark.parametrize(
+    "family, fields",
+    [
+        (GeneralizedPareto, (1e-310, 1.0)),     # scale/shape overflows to inf
+        (GeneralizedPareto, (-1e-300, 1e300)),  # ... to -inf
+        (GeneralizedPareto, (1.7e308, 1e-300)),  # ... underflows to 0
+        (ExcessGPD, (2.0, -1.7e308, 1e-17, 1e-17)),
+        (Pareto, (5e-324, 2.0)),                # scale/tail underflows to 0
+    ],
+)
+def test_scale_over_shape_beyond_the_float_range_is_rejected(family, fields):
+    # The factor b/k of every quantile and ES would give inf or nan
+    # (inf * 0) where the true values are finite, or nan where they are inf.
+    with pytest.raises(InvalidParameter, match="beyond the float range"):
+        family(*fields)
+
+
+def test_shapes_far_below_minus_one_have_closed_forms():
+    # S_n = prod j/(j - k) underflows to 0 for k = -1.7e308, and k/(j - k)
+    # rounds to -1 for k = -1e17, where log1p fails: log S_n is summed as
+    # -log1p(-k/j) below k = -1, and the multiplier is exp(log S_n / k).
+    with mpmath.workdps(40):
+        for k in (-1.5, -7.0, -1e17, -1.7e308):
+            d = GeneralizedPareto(k, 1.0)
+            for n in (1, 2, 5):
+                s = n * mpmath.beta(n, 1 - mpmath.mpf(k))
+                value, threshold = d.closed_multiplier(n)
+                assert abs(value - s ** (1 / mpmath.mpf(k))) <= 2e-16 * value, (k, n)
+                assert threshold == 1.0 / value
+                p = 0.9
+                exact = (s * mpmath.mpf(1 - p) ** -mpmath.mpf(k) - 1) / k
+                assert abs(d.es_closed(n, p) - exact) <= 1e-14 * abs(exact), (k, n)
 
 
 @settings(max_examples=50, deadline=None)

@@ -504,6 +504,15 @@ def test_exact_solve_checks_span_the_float_range():
         3.2939338, rel=1e-7)
 
 
+def test_infinite_row_across_the_float_range_scales_back_silently():
+    # ES-hat(0) = 0 lies above VaR-hat = -1.7e308: infinite.  The discarded
+    # c = 1 gap of 1.7e308 overflowed when scaled back by 2^e.
+    x = OrderedSample([-1.7e308] * 5 + [1.7e308] * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert empirical_pelve(x, 1, 0.9) == PelveResult.infinite()
+
+
 def _bits(result):
     # A PelveResult with its floats as hex strings, so == compares bits.
     value = None if result.value is None else result.value.hex()
