@@ -359,9 +359,8 @@ def test_shapes_far_below_minus_one_have_closed_forms():
                 value, threshold = d.closed_multiplier(n)
                 assert abs(value - s ** (1 / mpmath.mpf(k))) <= 2e-16 * value, (k, n)
                 assert threshold == 1.0 / value
-                p = 0.9
-                exact = (s * mpmath.mpf(1 - p) ** -mpmath.mpf(k) - 1) / k
-                assert abs(d.es_closed(n, p) - exact) <= 1e-14 * abs(exact), (k, n)
+                exact = (s * mpmath.mpf(0.1) ** -mpmath.mpf(k) - 1) / k  # ES_n at 0.9
+                assert abs(d.es_closed(n, 0.9) - exact) <= 1e-14 * abs(exact), (k, n)
 
 
 @settings(max_examples=50, deadline=None)
