@@ -37,6 +37,10 @@ CASES = {
                              "--order", "2"],
     "analytic-json-quadrature": ["--format", "json", "analytic", "--dist", "gpd:0.5,1",
                                  "--order", "3"],
+    "analytic-infinite": ["analytic", "--dist", "uniform:0,1", "--order", "2",
+                          "--epsilon", "0.5"],
+    "analytic-json-infinite-closed": ["--format", "json", "analytic", "--dist", "uniform:0,1",
+                                      "--order", "2", "--epsilon", "0.5", "--closed-only"],
     "analytic-overflow": ["analytic", "--dist", "pareto:1,0.003"],
     "analytic-bad-arity": ["analytic", "--dist", "excessgpd:1,0.3,1"],
     "analytic-bad-family": ["analytic", "--dist", "lognormal:0,1"],
@@ -44,6 +48,8 @@ CASES = {
                      "--order", "3"],
     "empirical-json-n2": ["--format", "json", "empirical", "--input", "{returns_600}",
                           "--kind", "returns", "--order", "2", "--negate"],
+    "empirical-json-infinite": ["--format", "json", "empirical", "--input", "{returns_600}",
+                                "--kind", "returns", "--order", "3"],
     "rolling-csv": ["rolling", "--input", "{returns_60}", "--kind", "returns",
                     "--window", "20", "--orders", "1,2,3"],
     "rolling-json": ["--format", "json", "rolling", "--input", "{returns_60}",
@@ -58,6 +64,8 @@ CASES = {
                         "--length", "400", "--seed", "3", "--bins", "5"],
     "simulate-pareto-failures": ["simulate", "--dist", "pareto:1,0.01", "--replicates",
                                  "5", "--length", "200", "--seed", "11"],
+    "simulate-json-failures": ["--format", "json", "simulate", "--dist", "pareto:1,0.01",
+                               "--replicates", "5", "--length", "200", "--seed", "11"],
 }
 
 
