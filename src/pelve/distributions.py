@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -78,6 +79,15 @@ __all__ = [
 def _check_order(n: int) -> None:
     if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise OrderOutOfRange(f"order must be a positive integer, got {n!r}")
+
+
+def _check_count(name: str, value: int, low: int) -> None:
+    # A count of draws, replicates or bins, a seed or a window: an integer,
+    # but not a bool, at or above low.
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value}")
 
 
 def _check_tail_level(p: float) -> None:
@@ -404,9 +414,12 @@ class _GPDFormulas(_Family):
         super().__post_init__()
         # 1/alpha, k/alpha, 1/rate and b - a overflow for some finite fields,
         # and b/k, the factor of every quantile and ES, can overflow or
-        # underflow to 0, where the formulas would give inf or nan.
+        # underflow to 0, where the formulas would give inf or nan.  A
+        # subnormal k carries too few digits: k log x then loses up to all
+        # of them.
         u, k, b, fu = self._gpd()
-        if not (all(map(math.isfinite, (u, k, b, fu))) and (k == 0.0 or 0.0 < abs(b / k) < math.inf)):
+        if not (all(map(math.isfinite, (u, k, b, fu)))
+                and (k == 0.0 or (abs(k) >= sys.float_info.min and 0.0 < abs(b / k) < math.inf))):
             raise InvalidParameter(
                 f"{self!r} has a generalized-Pareto shape or scale beyond the float range"
             )
@@ -611,10 +624,8 @@ def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
     family's quantile, so samples of any family share one reproducible
     source of randomness.
     """
-    if count < 1:
-        raise InvalidParameter(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    _check_count("count", count, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(count)
     # rng.random() yields [0, 1); shift exact zeros off the rejected level 0.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_order, _check_tail_level
+from .distributions import _check_count, _check_order, _check_tail_level
 from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, SampleTooSmall
 from .pelve_solver import PelveResult, _check_level_eps
 
@@ -100,8 +100,7 @@ def es_n_weights(m: int, n: int, p: float) -> np.ndarray:
     p >= (m-1)/m all the mass falls in the top cell, exactly."""
     _check_order(n)
     _check_tail_level(p)
-    if m < 1:
-        raise InvalidParameter(f"m must be >= 1, got {m}")
+    _check_count("m", m, 1)
     w = _increments(m, n, p)
     w.flags.writeable = False
     return w

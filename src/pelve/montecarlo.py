@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionModel, sample
+from .distributions import DistributionModel, _check_count, _check_order, sample
 from .empirical import block_rows, empirical_pelve_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
-from .errors import InvalidParameter, NoFiniteEstimates, PelveError
+from .errors import NoFiniteEstimates, PelveError
+from .pelve_solver import _check_level_eps
 
 __all__ = [
     "StudyConfig",
@@ -51,12 +52,11 @@ class StudyConfig:
     seed: int
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise InvalidParameter(f"replicates must be >= 1, got {self.replicates}")
-        if self.sample_len < 2:
-            raise InvalidParameter(f"sample_len must be >= 2, got {self.sample_len}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+        _check_count("replicates", self.replicates, 1)
+        _check_count("sample_len", self.sample_len, 2)
+        _check_count("seed", self.seed, 0)
+        _check_order(self.n)
+        _check_level_eps(self.eps)
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def _histogram(values: np.ndarray, bins: int) -> tuple:
 def export_histogram(res: StudyResult, bins: int) -> list:
     """Equal-width histogram of the finite estimates as
     (bin_low, bin_high, count) rows; counts sum to finite_count."""
-    if bins < 1:
-        raise InvalidParameter(f"bins must be >= 1, got {bins}")
+    _check_count("bins", bins, 1)
     finite = _finite_values(res.estimates)
     if finite.size == 0:
         raise NoFiniteEstimates("every estimate in the study was infinite")

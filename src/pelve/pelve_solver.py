@@ -282,10 +282,12 @@ def pelve2_rv_limit(alpha: float) -> float:
     Pareto(., alpha), computed as exp(alpha * log S_2(1/alpha)) so that a
     large alpha keeps its digits.
 
-    Strictly decreasing in alpha with infimum e^(3/2).
+    Strictly decreasing in alpha with infimum e^(3/2); alpha must be finite.
     """
     if not alpha > 1.0:
         raise AlphaOutOfRange(f"tail index must exceed 1, got {alpha}")
+    if alpha == math.inf:
+        raise AlphaOutOfRange(f"tail index must be finite, got {alpha}")
     return math.exp(alpha * _log_kernel_moment(2, 1.0 / alpha))
 
 

@@ -338,6 +338,14 @@ def test_family_methods_check_order_and_level(dist):
         (GeneralizedPareto, (1.7e308, 1e-300)),  # ... underflows to 0
         (ExcessGPD, (2.0, -1.7e308, 1e-17, 1e-17)),
         (Pareto, (5e-324, 2.0)),                # scale/tail underflows to 0
+        # A subnormal shape lost digits: the VaR(0.95) and ES_2(0.5) of the
+        # first were 6.0e-5 and 1.6e-5 off relative, the VaR(0.95) and the
+        # order-2 multiplier of the second 2.3e-15 and 2.5e-14 off.
+        (GeneralizedPareto, (1e-320, 1e-300)),
+        (GeneralizedPareto, (1e-310, 1e-290)),
+        (GeneralizedPareto, (-1e-310, 1e-290)),
+        (ExcessGPD, (0.0, 1e-310, 1e-290, 0.5)),
+        (Pareto, (1.0, 5e307)),                 # shape 1/tail is subnormal
     ],
 )
 def test_scale_over_shape_beyond_the_float_range_is_rejected(family, fields):

@@ -6,6 +6,7 @@ import pytest
 from pelve import (
     ExcessGPD,
     InvalidParameter,
+    LevelOutOfRange,
     NoFiniteEstimates,
     Normal,
     OrderOutOfRange,
@@ -14,10 +15,12 @@ from pelve import (
     StudyConfig,
     Uniform,
     empirical_pelve,
+    es_n_weights,
     export_histogram,
     run_study,
     sample,
 )
+from pelve.cli import RollingConfig
 from pelve.empirical import block_rows
 from pelve.montecarlo import replicate_seed
 
@@ -34,6 +37,50 @@ def test_config_validation():
 def test_negative_seed_is_a_typed_error():
     with pytest.raises(InvalidParameter, match="seed"):
         run_study(StudyConfig(Normal(0, 1), 2, 0.05, 3, 100, -1))
+
+
+@pytest.mark.parametrize(
+    "n, eps, error, message",
+    [
+        (0, 0.05, OrderOutOfRange, "order must be a positive integer, got 0"),
+        (2.5, 0.05, OrderOutOfRange, "order must be a positive integer, got 2.5"),
+        (2, 1.5, LevelOutOfRange, r"epsilon must lie in \(0, 1\), got 1.5"),
+        (2, 1e-17, LevelOutOfRange, "1 - epsilon rounds to 1"),
+    ],
+    ids=["order-0", "order-2.5", "eps-1.5", "eps-1e-17"],
+)
+def test_config_checks_order_and_epsilon(n, eps, error, message):
+    # Such a config used to run, and failed every replicate with the message.
+    with pytest.raises(error, match=message):
+        StudyConfig(Normal(0, 1), n, eps, 5, 50, 0)
+
+
+_STUDY = dict(dist=Normal(0, 1), n=2, eps=0.05, replicates=1, sample_len=50, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, low, use",
+    [
+        ("replicates", 1, lambda v: StudyConfig(**{**_STUDY, "replicates": v})),
+        ("sample_len", 2, lambda v: StudyConfig(**{**_STUDY, "sample_len": v})),
+        ("seed", 0, lambda v: StudyConfig(**{**_STUDY, "seed": v})),
+        ("seed", 0, lambda v: sample(Normal(0, 1), v, 3)),
+        ("count", 1, lambda v: sample(Normal(0, 1), 1, v)),
+        ("m", 1, lambda v: es_n_weights(v, 1, 0.5)),
+        ("window", 2, lambda v: RollingConfig(window=v)),
+        ("bins", 1, lambda v: export_histogram(run_study(StudyConfig(**_STUDY)), v)),
+    ],
+    ids=["replicates", "sample_len", "study-seed", "sample-seed", "count", "m", "window", "bins"],
+)
+def test_counts_are_integers(name, low, use):
+    # A float or bool count was a TypeError traceback, or taken as 0 or 1.
+    for value in (low + 0.5, float(low), True):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be an integer, got {value!r}$"):
+            use(value)
+    with pytest.raises(InvalidParameter, match=f"^{name} must be >= {low}, got {low - 1}$"):
+        use(low - 1)
+    use(low)
+    use(np.int64(low))
 
 
 @pytest.mark.parametrize(

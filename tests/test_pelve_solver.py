@@ -237,6 +237,14 @@ def test_rv_limit_values():
         pelve2_rv_limit(1.0)
 
 
+def test_rv_limit_needs_a_finite_index():
+    # An infinite index gave nan (inf * 0).
+    with pytest.raises(AlphaOutOfRange, match="tail index must be finite, got inf"):
+        pelve2_rv_limit(math.inf)
+    with pytest.raises(AlphaOutOfRange, match="must exceed 1"):
+        pelve2_rv_limit(math.nan)
+
+
 def test_rv_limit_decreasing_and_bounded():
     grid = [1.5, 2, 5, 10, 50]
     values = [pelve2_rv_limit(a) for a in grid]
