@@ -69,7 +69,7 @@ __all__ = [
     "GeneralizedPareto",
     "ExcessGPD",
     "DistributionModel",
-    "cdf",
+    "harmonic_number",
     "quantile",
     "tail_quantile",
     "sample",
@@ -598,11 +598,6 @@ class ExcessGPD(_GPDFormulas):
 DistributionModel = Union[
     Uniform, Exponential, Normal, Pareto, GeneralizedPareto, ExcessGPD
 ]
-
-
-def cdf(dist: DistributionModel, x: float) -> float:
-    """Exact cumulative distribution function of ``dist`` at ``x``."""
-    return dist.cdf(x)
 
 
 def quantile(dist: DistributionModel, p):

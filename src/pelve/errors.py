@@ -4,8 +4,8 @@ __all__ = [
     "PelveError", "LevelOutOfRange", "OrderOutOfRange", "InvalidParameter",
     "ExcessGPDBelowThreshold", "ExcessGPDLevelBelowBase", "NoClosedForm",
     "QuadratureNonConvergence", "QuantileOverflow", "AlphaOutOfRange",
-    "KappaOutOfRange", "NoFiniteEstimates", "MalformedCsv",
-    "NonPositivePrice", "NonMonotoneDates", "SampleTooSmall",
+    "NoFiniteEstimates", "MalformedCsv", "NonPositivePrice",
+    "NonMonotoneDates", "SampleTooSmall",
 ]
 
 
@@ -51,10 +51,6 @@ class QuadratureNonConvergence(PelveError):
 
 class AlphaOutOfRange(PelveError):
     """Tail index must exceed 1."""
-
-
-class KappaOutOfRange(PelveError):
-    """Regular-variation index must exceed -1."""
 
 
 class NoFiniteEstimates(PelveError):

@@ -14,7 +14,7 @@ bit, as ``empirical_pelve`` on its own sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "run_study",
     "export_histogram",
 ]
-
-_DEFAULT_BINS = 30
 
 
 def replicate_seed(seed: int, r: int) -> int:
@@ -65,8 +63,7 @@ class StudyResult:
     finite_count: int
     mean: float
     stddev: float
-    histogram: tuple
-    failures: tuple = field(default=())
+    failures: tuple = ()
 
 
 def _finite_values(estimates) -> np.ndarray:
@@ -117,24 +114,12 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     k = finite.size
     mean = float(finite.mean()) if k else math.nan
     stddev = float(finite.std(ddof=1)) if k > 1 else 0.0
-    hist = _histogram(finite, _DEFAULT_BINS) if k else ()
     return StudyResult(
         estimates=tuple(estimates),
         finite_count=k,
         mean=mean,
         stddev=stddev,
-        histogram=hist,
         failures=tuple(failures),
-    )
-
-
-def _histogram(values: np.ndarray, bins: int) -> tuple:
-    low, high = float(values.min()), float(values.max())
-    if low == high:
-        return ((low, high, int(values.size)),)
-    counts, edges = np.histogram(values, bins=bins, range=(low, high))
-    return tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
     )
 
 
@@ -145,4 +130,8 @@ def export_histogram(res: StudyResult, bins: int) -> list:
     finite = _finite_values(res.estimates)
     if finite.size == 0:
         raise NoFiniteEstimates("every estimate in the study was infinite")
-    return list(_histogram(finite, bins))
+    low, high = float(finite.min()), float(finite.max())
+    if low == high:
+        return [(low, high, int(finite.size))]
+    counts, edges = np.histogram(finite, bins=bins, range=(low, high))
+    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]

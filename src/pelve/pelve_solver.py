@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .distributions import DistributionModel, _log_kernel_moment, quantile
-from .errors import (
-    AlphaOutOfRange,
-    ExcessGPDLevelBelowBase,
-    InvalidParameter,
-    KappaOutOfRange,
-    LevelOutOfRange,
-    QuadratureNonConvergence,
-)
+from .errors import AlphaOutOfRange, ExcessGPDLevelBelowBase, InvalidParameter, LevelOutOfRange
 from .risk_measures import DEFAULT_REL_TOL, _node_callables, _TailTable, es_n
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "pelve_from_quantile",
     "pelve_closed",
     "pelve2_rv_limit",
-    "karamata_ratio",
 ]
 
 DEFAULT_C_TOL = 1e-9
@@ -290,32 +282,3 @@ def pelve2_rv_limit(alpha: float) -> float:
         raise AlphaOutOfRange(f"tail index must be finite, got {alpha}")
     return math.exp(alpha * _log_kernel_moment(2, 1.0 / alpha))
 
-
-def karamata_ratio(
-    kappa_rv: float, eps: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
-    """Numeric ratio integral(0..eps) v^kappa dv / (eps * eps^kappa) for the
-    power kernel, which equals 1/(kappa + 1) for every eps.
-
-    Serves as a numeric verification of the small-level limit that drives
-    the regularly-varying asymptotics.  The substitution v = eps*u turns the
-    ratio into the integral over (0, 1) of u^kappa du, so eps never enters
-    the arithmetic and cannot underflow.  That integral is ES_1 at level 0
-    of the quantile (1 - s)^kappa, whose tail quantile is t^kappa: one tail
-    table carries the integrable singularity at t = 0 for kappa < 0, until
-    its closing panel's mass falls within ``rel_tol`` or its nodes would
-    leave the normal floats, which near kappa = -1 raises KappaOutOfRange.
-    ``rel_tol`` must lie in [1e-14, 1e-2].
-    """
-    if not kappa_rv > -1.0:
-        raise KappaOutOfRange(f"index must exceed -1, got {kappa_rv}")
-    _check_eps(eps)
-    try:
-        table = _TailTable(
-            lambda s: (1.0 - s) ** kappa_rv, lambda t: t ** kappa_rv, 1, 0.0, rel_tol
-        )
-        return table.es(1, 0.0).value
-    except QuadratureNonConvergence:
-        raise KappaOutOfRange(
-            f"power integral did not converge for index {kappa_rv}"
-        ) from None

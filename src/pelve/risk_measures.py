@@ -15,9 +15,8 @@ exponential, Pareto (tail > 1) and the generalized-Pareto types (shape < 1).
 raises NoClosedForm.
 
 Quadrature serves quantile callables only (``es_n_quadrature``, and
-``pelve_from_quantile`` and ``karamata_ratio`` in ``pelve_solver``).  It
-splits (p, 1) at a level b >= p; expanding (s - p)^(n-1) binomially about b
-gives, for every p <= b,
+``pelve_from_quantile`` in ``pelve_solver``).  It splits (p, 1) at a level
+b >= p; expanding (s - p)^(n-1) binomially about b gives, for every p <= b,
 
     ES_n(p) (1-p)^n / n = integral over (p, b) of (s-p)^(n-1) Q(s) ds
                           + sum_{k<n} C(n-1, k) (b-p)^(n-1-k) M_k(b),
@@ -44,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionModel, _check_order, _check_tail_level, harmonic_number
+from .distributions import DistributionModel, _check_order, _check_tail_level
 # No longer called here, but perfbench/tracing.py wraps these names.
 from .distributions import quantile, tail_quantile  # noqa: F401
 from .errors import InvalidParameter, QuadratureNonConvergence
@@ -53,8 +52,6 @@ __all__ = [
     "EsMethod",
     "EsResult",
     "GiniParams",
-    "harmonic_number",
-    "es_n_closed",
     "es_n_quadrature",
     "es_n",
     "tail_gini",
@@ -90,19 +87,6 @@ class GiniParams:
     @property
     def is_coherent(self) -> bool:
         return self.loading <= 0.5
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-def es_n_closed(dist: DistributionModel, n: int, p: float) -> float:
-    """Closed-form n-th-order Expected Shortfall, where one exists: the
-    family's ``es_closed``, which checks the order and the level.
-
-    Raises NoClosedForm where the tail has no first moment.
-    """
-    return dist.es_closed(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +328,12 @@ def es_n_quadrature(
 
     Each part bisects its panels until their error estimates sum to at most
     ``rel_tol`` of the larger of the whole ES integral and its absolute
-    counterpart; ``est_abs_error`` is the sum of the parts' estimates, at
-    least 50 machine epsilons of the absolute integral.  A quantile that is
-    not finite at a node, or whose tail mass does not fall off geometrically
-    toward 1 within a budget of 2^20 nodes and the normal floats, raises
-    QuadratureNonConvergence: it may lack a finite first moment.
+    counterpart, with ``rel_tol`` in [1e-14, 1e-2]; ``est_abs_error`` is the
+    sum of the parts' estimates, at least 50 machine epsilons of the
+    absolute integral.  A quantile that is not finite at a node, or whose
+    tail mass does not fall off geometrically toward 1 within a budget of
+    2^20 nodes and the normal floats, raises QuadratureNonConvergence: it
+    may lack a finite first moment.
 
     ``quantile_fn`` takes one float level at a time.  ``tail_quantile_fn(t)``,
     when supplied, evaluates the quantile at level 1 - t directly; heavy
@@ -363,7 +348,7 @@ def es_n_quadrature(
 def es_n(dist: DistributionModel, n: int, p: float) -> EsResult:
     """n-th-order Expected Shortfall of a family, by its closed form; raises
     NoClosedForm where the tail has no first moment."""
-    return EsResult(es_n_closed(dist, n, p), EsMethod.CLOSED_FORM)
+    return EsResult(dist.es_closed(n, p), EsMethod.CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +362,12 @@ def tail_gini(dist: DistributionModel, p: float) -> float:
     2*(2s - 1 - p)/(1-p)^2, and exact by construction in the Gini Shortfall
     decomposition below.
     """
-    return 2.0 * (es_n_closed(dist, 2, p) - es_n_closed(dist, 1, p))
+    return 2.0 * (dist.es_closed(2, p) - dist.es_closed(1, p))
 
 
 def gini_shortfall(dist: DistributionModel, p: float, g: GiniParams) -> float:
     """Gini Shortfall: ES_1 + loading * tail_gini, evaluated through its
     decomposition (1 - 2*loading)*ES_1 + 2*loading*ES_2."""
-    es1, es2 = es_n_closed(dist, 1, p), es_n_closed(dist, 2, p)
+    es1, es2 = dist.es_closed(1, p), dist.es_closed(2, p)
     lam = g.loading
     return (1.0 - 2.0 * lam) * es1 + 2.0 * lam * es2

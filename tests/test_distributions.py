@@ -20,7 +20,6 @@ from pelve import (
     Pareto,
     QuantileOverflow,
     Uniform,
-    cdf,
     quantile,
     sample,
     tail_quantile,
@@ -91,9 +90,9 @@ def test_non_finite_parameters_are_rejected(family, params, i, bad):
 
 
 def test_cdf_examples():
-    assert cdf(Pareto(1, 2), 2) == pytest.approx(0.75, abs=1e-15)
-    assert cdf(GeneralizedPareto(0, 1), 1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
-    assert cdf(GeneralizedPareto(-1, 1), 2) == 1.0
+    assert Pareto(1, 2).cdf(2) == pytest.approx(0.75, abs=1e-15)
+    assert GeneralizedPareto(0, 1).cdf(1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+    assert GeneralizedPareto(-1, 1).cdf(2) == 1.0
 
 
 def test_excess_model_cdfs_keep_their_digits_next_to_the_threshold():
@@ -143,7 +142,7 @@ def test_fields_whose_shape_or_scale_overflows_are_rejected():
 
 def test_cdf_below_threshold_errors():
     with pytest.raises(ExcessGPDBelowThreshold):
-        cdf(ExcessGPD(1, 0.25, 2, 0.3), 0.5)
+        ExcessGPD(1, 0.25, 2, 0.3).cdf(0.5)
 
 
 def test_quantile_examples():
@@ -208,7 +207,7 @@ def test_cdf_quantile_roundtrip(dist):
         if isinstance(dist, ExcessGPD) and p <= dist.base_cdf_at_u:
             continue
         x = quantile(dist, p)
-        assert cdf(dist, x) == pytest.approx(p, abs=1e-12)
+        assert dist.cdf(x) == pytest.approx(p, abs=1e-12)
 
 
 def test_excess_gpd_reduces_to_gpd():

@@ -1,7 +1,6 @@
-"""The adaptive Gauss-Kronrod quadrature behind ``es_n_quadrature``,
-``pelve_from_quantile`` and ``karamata_ratio``: its constants, and error
-estimates that bound the true error on kinks, jumps, heavy tails and levels
-near 1."""
+"""The adaptive Gauss-Kronrod quadrature behind ``es_n_quadrature`` and
+``pelve_from_quantile``: its constants, and error estimates that bound the
+true error on kinks, jumps, heavy tails and levels near 1."""
 
 import math
 from fractions import Fraction

@@ -1,6 +1,6 @@
-"""Tail tables serve quantile callables only: ``es_n_quadrature``,
-``pelve_from_quantile`` and ``karamata_ratio`` build one per call, and no
-family result builds any."""
+"""Tail tables serve quantile callables only: ``es_n_quadrature`` and
+``pelve_from_quantile`` build one per call, and no family result builds
+any."""
 
 import io
 import statistics
@@ -19,13 +19,13 @@ from pelve import (
     es_n,
     es_n_quadrature,
     gini_shortfall,
-    karamata_ratio,
     pelve,
     pelve_exists,
     pelve_from_quantile,
     tail_gini,
 )
 from pelve.cli import main
+from test_karamata import karamata_ratio
 from test_tail_table import _counting_tables
 
 # One model of each family, with the CLI spelling of each.
@@ -61,7 +61,7 @@ def test_no_family_builds_a_table(monkeypatch):
     inv_cdf = statistics.NormalDist().inv_cdf
     es_n_quadrature(inv_cdf, 3, 0.9)
     pelve_from_quantile(inv_cdf, 3, 0.05)
-    karamata_ratio(-0.5, 0.05)
+    karamata_ratio(-0.5)
     assert built == [0.9, 0.95, 0.0]
 
 
@@ -97,11 +97,15 @@ def test_closed_form_analytic_builds_no_table(argv, monkeypatch):
 
 def test_karamata_ratio_builds_one_table(monkeypatch):
     built = _counting_tables(monkeypatch)
-    assert karamata_ratio(-0.5, 0.05) == pytest.approx(2.0, rel=1e-10)
+    assert karamata_ratio(-0.5) == pytest.approx(2.0, rel=1e-10)
     assert built == [0.0]
 
 
 def test_karamata_ratio_checks_rel_tol_as_the_table_does():
+    # Both quadrature entries, es_n_quadrature (here through the power
+    # integral) and pelve_from_quantile, leave the check to the table.
     for rel_tol in (1e-15, 0.1):
         with pytest.raises(InvalidParameter, match="rel_tol must lie in"):
-            karamata_ratio(0.5, 0.05, rel_tol)
+            karamata_ratio(0.5, rel_tol)
+        with pytest.raises(InvalidParameter, match="rel_tol must lie in"):
+            pelve_from_quantile(lambda s: s, 2, 0.05, rel_tol=rel_tol)

@@ -19,7 +19,6 @@ from pelve import (
     QuadratureNonConvergence,
     Uniform,
     es_n,
-    es_n_closed,
     es_n_quadrature,
     gini_shortfall,
     harmonic_number,
@@ -65,36 +64,36 @@ def test_harmonic_numbers():
 
 
 def test_es_closed_examples():
-    assert es_n_closed(Uniform(0, 1), 2, 0.0) == pytest.approx(2 / 3, abs=1e-15)
-    assert es_n_closed(Exponential(1), 2, 0.0) == pytest.approx(1.5, abs=1e-15)
-    assert es_n_closed(Pareto(1, 2), 2, 0.0) == pytest.approx(8 / 3, abs=1e-14)
-    assert es_n_closed(Normal(0, 1), 2, 0.0) == pytest.approx(
+    assert Uniform(0, 1).es_closed(2, 0.0) == pytest.approx(2 / 3, abs=1e-15)
+    assert Exponential(1).es_closed(2, 0.0) == pytest.approx(1.5, abs=1e-15)
+    assert Pareto(1, 2).es_closed(2, 0.0) == pytest.approx(8 / 3, abs=1e-14)
+    assert Normal(0, 1).es_closed(2, 0.0) == pytest.approx(
         1 / math.sqrt(math.pi), abs=1e-14
     )
 
 
 def test_es_closed_gpd_kappa_zero_reduces_to_exponential():
     for p in (0.0, 0.3, 0.9):
-        assert es_n_closed(GeneralizedPareto(0, 1), 2, p) == pytest.approx(
-            es_n_closed(Exponential(1), 2, p), abs=1e-12
+        assert GeneralizedPareto(0, 1).es_closed(2, p) == pytest.approx(
+            Exponential(1).es_closed(2, p), abs=1e-12
         )
 
 
 def test_no_closed_form_paths():
     # Only tails without a first moment lack a closed form; the normal has
     # one at every order.
-    assert math.isfinite(es_n_closed(Normal(0, 1), 3, 0.1))
+    assert math.isfinite(Normal(0, 1).es_closed(3, 0.1))
     with pytest.raises(NoClosedForm):
-        es_n_closed(Pareto(1, 0.9), 1, 0.1)
+        Pareto(1, 0.9).es_closed(1, 0.1)
     with pytest.raises(NoClosedForm):
-        es_n_closed(GeneralizedPareto(1.0, 1), 1, 0.1)
+        GeneralizedPareto(1.0, 1).es_closed(1, 0.1)
 
 
 def test_es_closed_level_validation():
     with pytest.raises(LevelOutOfRange):
-        es_n_closed(Uniform(0, 1), 1, 1.0)
+        Uniform(0, 1).es_closed(1, 1.0)
     with pytest.raises(LevelOutOfRange):
-        es_n_closed(ExcessGPD(1, 0.25, 2, 0.3), 1, 0.2)
+        ExcessGPD(1, 0.25, 2, 0.3).es_closed(1, 0.2)
 
 
 def test_quadrature_examples():
@@ -148,7 +147,7 @@ def test_closed_vs_quadrature_agreement(dist):
     for n in (1, 2, 3):
         for p in _levels_for(dist):
             try:
-                closed = es_n_closed(dist, n, p)
+                closed = dist.es_closed(n, p)
             except NoClosedForm:
                 continue
             quad = es_n_quadrature(
@@ -328,7 +327,7 @@ def test_gini_params_reject_a_non_finite_loading(loading):
 
 def _gpd_ratio(kappa, p):
     d = GeneralizedPareto(kappa, 1)
-    return es_n_closed(d, 2, p) / quantile(d, p)
+    return d.es_closed(2, p) / quantile(d, p)
 
 
 def test_gpd_es2_var_ratio_limits():
