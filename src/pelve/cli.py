@@ -8,10 +8,12 @@ empirical   The same estimators from a CSV sample of prices or returns.
 simulate    Seeded replicate study of the empirical multiplier.
 rolling     Windowed multiplier series over daily returns.
 
-Global flags: --format csv|json, --ctol (tolerance of the bracketing
-solve of ``analytic``; the empirical solves are exact).  Every ``analytic``
-value comes from the family's closed forms, so there is no quadrature
-tolerance.  Exit codes: 0 success, 1 usage error, 2 data error.
+Global flags: --format csv|json, --ctol.  ``analytic`` prints the family's
+closed-form multiplier where it has one; the normal has none, and its
+multiplier comes from a bracketing solve to the tolerance --ctol (the
+empirical solves are exact).  Every other ``analytic`` value comes from the
+family's closed forms, so there is no quadrature tolerance.  Exit codes:
+0 success, 1 usage error, 2 data error.
 
 Input CSV is UTF-8 with a mandatory ``date,price`` or ``date,return``
 header; dates are ISO-8601 and strictly increasing.  Return values are
@@ -67,6 +69,7 @@ from .empirical import (
 )
 from .errors import (
     MalformedCsv,
+    NoClosedForm,
     NonMonotoneDates,
     NonPositivePrice,
     PelveError,
@@ -278,7 +281,10 @@ def _cmd_analytic(args, out, err) -> int:
     levels = _level_grid(dist.level_floor, eps)
     # The multiplier comes first, so that its checks of eps against the
     # model come before any row's.
-    result = pelve_closed(dist, n, eps) if args.closed_only else pelve(dist, n, eps, args.ctol)
+    try:
+        result = pelve_closed(dist, n, eps)
+    except NoClosedForm:
+        result = pelve(dist, n, eps, args.ctol)
     es = [(f"es_{n}", p, es_n(dist, n, p).value) for p in levels]
     rows = [("var", 1.0 - eps, quantile(dist, 1.0 - eps)), *es]
     document = [{"metric": m, "level": lvl, "value": v} for m, lvl, v in rows]
@@ -463,14 +469,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--ctol", type=_float_checked_by(_check_c_tol), default=DEFAULT_C_TOL,
                         help="tolerance of the bracketing solve for the multiplier, relative "
-                             "to its range (analytic only; the empirical solves are exact)")
+                             "to its range (analytic on the normal only: the other families "
+                             "print their closed form, and the empirical solves are exact)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("analytic", help="closed-form queries")
     p.add_argument("--dist", type=_parse_dist, required=True)
     p.add_argument("--order", type=_positive_int, default=1)
     p.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPSILON)
-    p.add_argument("--closed-only", action="store_true")
     p.set_defaults(fn=_cmd_analytic)
 
     p = sub.add_parser("empirical", help="estimators from a CSV sample")

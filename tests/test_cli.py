@@ -193,7 +193,7 @@ def test_cli_analytic_exponential_infinite():
 def test_cli_analytic_closed_only_json():
     code, out, _ = run_cli(
         ["--format", "json", "analytic", "--dist", "exp:1", "--order", "2",
-         "--epsilon", "0.5", "--closed-only"]
+         "--epsilon", "0.5"]
     )
     assert code == 0
     records = json.loads(out)
@@ -224,13 +224,10 @@ def test_cli_analytic_excess_gpd_starts_at_base_level():
     assert rows[-1][0] == "pelve_2" and float(rows[-1][2]) == pytest.approx(closed, abs=1e-6)
 
 
-@pytest.mark.parametrize("closed_only", [[], ["--closed-only"]], ids=["solve", "closed-only"])
-def test_cli_analytic_epsilon_above_the_excess_model_exits_2(closed_only):
-    # 1 - eps = 0.95 lies below F(u) = 0.97: the solve's check names both,
-    # before any row asks for a quantile there.
-    code, out, err = run_cli(
-        ["analytic", "--dist", "excessgpd:1,0.3,1,0.97", *closed_only]
-    )
+def test_cli_analytic_epsilon_above_the_excess_model_exits_2():
+    # 1 - eps = 0.95 lies below F(u) = 0.97: the multiplier's check names
+    # both, before any row asks for a quantile there.
+    code, out, err = run_cli(["analytic", "--dist", "excessgpd:1,0.3,1,0.97"])
     assert code == 2 and out == ""
     assert err == (
         "pelve: epsilon 0.05 is too large: 1 - epsilon must exceed base_cdf_at_u=0.97\n"
@@ -239,7 +236,7 @@ def test_cli_analytic_epsilon_above_the_excess_model_exits_2(closed_only):
 
 def test_cli_analytic_closed_only_generalized_pareto_at_order_3():
     code, out, err = run_cli(
-        ["analytic", "--dist", "gpd:0.5,1", "--order", "3", "--closed-only"]
+        ["analytic", "--dist", "gpd:0.5,1", "--order", "3"]
     )
     assert code == 0 and err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -356,11 +353,11 @@ _SHAPE_BEYOND = "has a generalized-Pareto shape or scale beyond the float range"
     [
         # log S_n summed as log1p(k/(j - k)) hit log1p(-1): a ValueError.
         (["analytic", "--dist", "gpd:-1e17,1", "--order", "2"], 0, ""),
-        (["analytic", "--dist", "gpd:-1e17,1", "--order", "2", "--closed-only"], 0, ""),
+        (["analytic", "--dist", "gpd:-1e17,1", "--order", "2"], 0, ""),
         # S_n underflowed to 0, and 0 ** (1/k) raised ZeroDivisionError.
-        (["analytic", "--dist", "gpd:-1.7e308,1", "--order", "2", "--closed-only"], 0, ""),
+        (["analytic", "--dist", "gpd:-1.7e308,1", "--order", "2"], 0, ""),
         (["analytic", "--dist", "excessgpd:2,-1.7e308,1e-17,1e-17", "--order", "3",
-          "--epsilon", "1e-5", "--closed-only"], 1, _SHAPE_BEYOND),
+          "--epsilon", "1e-5"], 1, _SHAPE_BEYOND),
         # scale/shape overflowed, and the solve reached a nan level.
         (["analytic", "--dist", "gpd:1e-310,1"], 1, _SHAPE_BEYOND),
         (["analytic", "--dist", "gpd:-1e-300,1e300"], 1, _SHAPE_BEYOND),
@@ -417,7 +414,7 @@ def test_cli_extreme_families_never_raise(spec, order, eps):
     # Exit 0, 1 or 2 with a typed error: no traceback, no RuntimeWarning and
     # no nan level reaching a check.
     common = ["--dist", spec, "--order", str(order), "--epsilon", eps]
-    for argv in (["analytic", *common], ["analytic", *common, "--closed-only"],
+    for argv in (["analytic", *common],
                  ["simulate", *common, "--replicates", "2", "--length", "20"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -40,7 +40,7 @@ CASES = {
     "analytic-infinite": ["analytic", "--dist", "uniform:0,1", "--order", "2",
                           "--epsilon", "0.5"],
     "analytic-json-infinite-closed": ["--format", "json", "analytic", "--dist", "uniform:0,1",
-                                      "--order", "2", "--epsilon", "0.5", "--closed-only"],
+                                      "--order", "2", "--epsilon", "0.5"],
     "analytic-overflow": ["analytic", "--dist", "pareto:1,0.003"],
     "analytic-bad-arity": ["analytic", "--dist", "excessgpd:1,0.3,1"],
     "analytic-bad-family": ["analytic", "--dist", "lognormal:0,1"],

@@ -87,7 +87,7 @@ def test_analytic_builds_one_table_at_the_top_printed_level(dist, eps, top, monk
 
 @pytest.mark.parametrize(
     "argv",
-    [("--dist", "exp:1", "--order", "3"), ("--dist", "gpd:0.3,1", "--order", "2", "--closed-only")],
+    [("--dist", "exp:1", "--order", "3"), ("--dist", "gpd:0.3,1", "--order", "2")],
 )
 def test_closed_form_analytic_builds_no_table(argv, monkeypatch):
     built = _counting_tables(monkeypatch)
