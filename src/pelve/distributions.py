@@ -626,9 +626,11 @@ def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
     # rng.random() yields [0, 1); shift exact zeros off the rejected level 0.
     u[u == 0.0] = np.finfo(float).tiny
     floor = dist.level_floor
-    # Above a floor F(u) > 0, floor + (1 - floor)*u rounds to F(u) for the
-    # smallest u and to 1 for the largest: both lie outside the model.
-    levels = np.clip(floor + (1.0 - floor) * u, np.nextafter(floor, 1.0), np.nextafter(1.0, 0.0))
+    levels = floor + (1.0 - floor) * u
+    if floor > 0.0:
+        # Above F(u) > 0 the level rounds to F(u) for the smallest u and to 1
+        # for the largest: both lie outside the model.
+        np.clip(levels, math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0), out=levels)
     # A quantile beyond the float range comes out as inf, which the callers
     # reject as a non-finite sample; numpy need not warn about it as well.
     with np.errstate(over="ignore"):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pelve import (
     ExcessGPD,
+    Exponential,
     GeneralizedPareto,
     MalformedCsv,
     NoClosedForm,
@@ -20,6 +21,7 @@ from pelve import (
     NonPositivePrice,
     Pareto,
     SampleTooSmall,
+    Uniform,
     es_n,
     pelve,
     pelve_closed,
@@ -243,6 +245,31 @@ def test_cli_analytic_closed_only_generalized_pareto_at_order_3():
     assert rows[-1][0] == "pelve_3" and float(rows[-1][2]) == pytest.approx(10.24, rel=1e-15)
     assert [row[:2] for row in rows[1:3]] == [["es_3", "0.0"], ["es_3", "0.5"]]
     assert float(rows[1][2]) == pytest.approx(4.4, rel=1e-15)  # (3 B(3, 1/2) - 1)/(1/2)
+
+
+_CLOSED_FAMILIES = [
+    (GeneralizedPareto(0.5, 1), "gpd:0.5,1", 3),
+    (Pareto(1, 2), "pareto:1,2", 2),
+    (Exponential(1), "exp:1", 3),
+    (ExcessGPD(1, 0.3, 1, 0.4), "excessgpd:1,0.3,1,0.4", 3),
+    (Uniform(0, 1), "uniform:0,1", 4),
+]
+
+
+@pytest.mark.parametrize("eps", ["0.05", "1e-6", "1e-9", "1e-12"])
+@pytest.mark.parametrize("dist, spec, n", _CLOSED_FAMILIES, ids=[s for _, s, _ in _CLOSED_FAMILIES])
+def test_cli_analytic_prints_the_closed_multiplier(dist, spec, n, eps):
+    # The bracketing solve printed 507.995 for gpd:0.5,1 at order 3 and
+    # eps 1e-12, where the closed form is 10.24.
+    code, out, err = run_cli(["analytic", "--dist", spec, "--order", str(n), "--epsilon", eps])
+    assert code == 0 and err == ""
+    closed = pelve_closed(dist, n, float(eps)).value
+    assert out.splitlines()[-1] == f"pelve_{n},{float(eps)!r},{closed!r}"
+
+
+def test_cli_analytic_closed_only_is_a_usage_error():
+    code, out, err = run_cli(["analytic", "--dist", "gpd:0.5,1", "--closed-only"])
+    assert (code, out) == (1, "") and "unrecognized arguments: --closed-only" in err
 
 
 def test_cli_usage_errors_exit_1():

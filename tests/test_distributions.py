@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -276,6 +277,30 @@ def test_sample_exponential_mean():
 def test_sample_excess_gpd_stays_above_threshold():
     x = sample(ExcessGPD(1, 0.25, 2, 0.3), 5, 1000)
     assert np.all(x >= 1.0)
+
+
+_ABOVE_BASE, _BELOW_ONE = np.nextafter(0.9, 1.0), np.nextafter(1.0, 0.0)
+_HALF = 0.9 + (1.0 - 0.9) * 0.5
+
+
+@pytest.mark.parametrize(
+    "draws, levels",
+    [
+        ([0.0, 2 ** -53, 5 * 2 ** -53, 0.5], [_ABOVE_BASE, _ABOVE_BASE, _ABOVE_BASE, _HALF]),
+        ([0.5, 1 - 2 ** -53], [_HALF, _BELOW_ONE]),
+    ],
+    ids=["base", "one"],
+)
+def test_sample_excess_gpd_keeps_draws_inside_the_model(draws, levels, monkeypatch):
+    # Above F(u) = 0.9 the level F(u) + (1 - F(u))*u rounds to F(u) at u = 0
+    # and at the five smallest draws k*2^-53, and to 1 at the largest draw:
+    # such a level moves one float inside (F(u), 1), and u = 0.5 keeps its
+    # bits.
+    d = ExcessGPD(1, 0.3, 1, 0.9)
+    # numpy's Generator is replaced by one whose random(count) returns draws.
+    monkeypatch.setattr(np.random, "Generator",
+                        lambda bits: SimpleNamespace(random=lambda count: np.array(draws)))
+    assert np.array_equal(sample(d, 0, len(draws)), d.quantile(np.array(levels)))
 
 
 def test_sample_count_validation():

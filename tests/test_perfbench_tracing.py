@@ -66,3 +66,16 @@ def test_analytic_solve_is_traced(tracing):
     assert steps > 0 and rows == 6
     assert summary["calls"]["risk_measures.es_n"] == rows + steps + 3
     assert summary["under"]["risk_measures.es_n<pelve_solver.pelve"] == steps + 3
+
+
+def test_analytic_closed_multiplier_runs_no_solve(tracing):
+    # A family with a closed multiplier prints it without the solve: ES_n
+    # runs once per printed row and nowhere else.
+    tracer = tracing.Tracer()
+    out = io.StringIO()
+    with tracing.instrumented(tracer):
+        argv = ["analytic", "--dist", "gpd:0.5,1", "--order", "3"]
+        assert main(argv, out=out, err=io.StringIO()) == 0
+    calls = tracer.summary()["calls"]
+    assert calls["pelve_solver.pelve"] == 0
+    assert calls["risk_measures.es_n"] == out.getvalue().count("\nes_3,") == 6
