@@ -536,7 +536,8 @@ def main(argv=None, out=None, err=None) -> int:
         warnings.showwarning = report
         try:
             return args.fn(args, out, err)
-        except (PelveError, OSError) as exc:
+        except (PelveError, OSError, MemoryError) as exc:
+            # MemoryError: a size too large to allocate, such as --length 10**15.
             print(f"pelve: {exc}", file=err)
             return 2
 

@@ -22,10 +22,10 @@ to a Python float and a numpy array to an array of the same shape.
 ``es_closed(n, p)`` and ``closed_multiplier(n)`` give ES_n and PELVE_n in
 closed form, or raise NoClosedForm.  These four methods check the level,
 tail probability or order of every family evaluation; the formulas behind
-them check nothing.  Every family has ES_n at every order
-while its tail has a first moment; the excess models take theirs from one
-kernel moment S_n = n B(n, 1 - kappa) (``_kernel_moment``).  The normal has
-no closed multiplier.  ``level_floor`` is the lowest level the model
+them check nothing.  Every family has ES_n at every order while its tail
+has a first moment; the excess models take theirs from the logarithm of one
+kernel moment S_n = n B(n, 1 - kappa) (``_log_kernel_moment``).  The normal
+has no closed multiplier.  ``level_floor`` is the lowest level the model
 describes: base_cdf_at_u for ExcessGPD, 0 elsewhere.
 
 All quantiles are closed-form.  The normal quantile is Wichura's AS241
@@ -106,34 +106,27 @@ def harmonic_number(n: int) -> float:
     return sum(1.0 / k for k in range(1, n + 1))
 
 
-def _kernel_moment(n: int, k: float) -> float:
-    """S_n = n B(n, 1 - k) = prod over j <= n of j/(j - k), as that product.
+@functools.lru_cache(maxsize=256, typed=True)
+def _log_kernel_moment(n: int, k: float) -> float:
+    """log S_n of the kernel moment S_n = n B(n, 1 - k) = prod over j <= n
+    of j/(j - k).
 
     S_n is ES_n of the tail quantile x^-k, x = 1 - s, at level 0, so every
     generalized-Pareto ES_n and PELVE_n follows from it: the quantile
     u + (beta/k)(x^-k - 1) has ES_n = u + (beta/k)(x^-k S_n - 1), and
-    PELVE_n = S_n^(1/k).  Every factor is positive.  A tail of shape k >= 1
-    has no first moment, and no closed form.
+    PELVE_n = S_n^(1/k).  A tail of shape k >= 1 has no first moment, and no
+    closed form.
+
+    The sum runs over log1p(k/(j - k)), which keeps the digits of a small k.
+    Below k = -1 each term is -log1p(-k/j) instead: there j/(j - k) < 1/2,
+    where the first form loses digits, and k/(j - k) rounds to -1 for a k
+    near the float limit.
     """
-    _check_first_moment(k)
-    return math.prod([j / (j - k) for j in range(1, n + 1)])
-
-
-@functools.lru_cache(maxsize=256, typed=True)
-def _log_kernel_moment(n: int, k: float) -> float:
-    """log S_n, summed as log1p(k/(j - k)), which keeps the digits of a
-    small k.  Below k = -1 each term is -log1p(-k/j) instead: there
-    j/(j - k) < 1/2, where the first form loses digits, and k/(j - k)
-    rounds to -1 for a k near the float limit."""
-    _check_first_moment(k)
+    if k >= 1.0:
+        raise NoClosedForm(f"no closed form: the tail x^-{k} has no first moment")
     if k < -1.0:
         return -math.fsum([math.log1p(-k / j) for j in range(1, n + 1)])
     return math.fsum([math.log1p(k / (j - k)) for j in range(1, n + 1)])
-
-
-def _check_first_moment(k: float) -> None:
-    if k >= 1.0:
-        raise NoClosedForm(f"no closed form: the tail x^-{k} has no first moment")
 
 
 # Floats go through plain comparisons and ``math``: numpy on one float costs
@@ -461,14 +454,12 @@ class _GPDFormulas(_Family):
         if k == 0.0:
             value = math.exp(harmonic_number(n))
         elif k == -1.0:
-            # S_n = 1/(n + 1), whose rounded product need not invert to n + 1.
+            # S_n = 1/(n + 1), whose rounded log sum need not invert to n + 1.
             value = float(n + 1)
-        elif abs(k) < 0.1 or k < -1.0:
-            # At a small |k| the power 1/k would multiply the few ulps by
-            # which S_n is off; below k = -1 S_n may underflow to 0.
-            value = math.exp(_log_kernel_moment(n, k) / k)
         else:
-            value = _kernel_moment(n, k) ** (1.0 / k)
+            # exp(log S_n / k), not S_n ** (1/k): the power would multiply the
+            # rounding of S_n by 1/k, and S_n may underflow to 0 below k = -1.
+            value = math.exp(_log_kernel_moment(n, k) / k)
         # The applicable eps range is scaled down by the survival mass above
         # the threshold; the endpoint is treated as attained.
         return value, (1.0 - fu) / value

@@ -9,6 +9,8 @@ import math
 import time
 from pathlib import Path
 
+import mpmath
+
 from pelve import (
     ExcessGPD,
     Exponential,
@@ -99,7 +101,10 @@ def test_acceptance_5_gpd_closed_form_grid():
     t0 = time.time()
     ok = True
     for kappa in (0.0, 0.25, 0.5, 0.75):
-        want = math.exp(1.5) if kappa == 0 else (2 / ((1 - kappa) * (2 - kappa))) ** (1 / kappa)
+        # (2/((1 - kappa)(2 - kappa)))^(1/kappa), correctly rounded from 40 digits.
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+            want = math.exp(1.5) if kappa == 0 else float((2 / ((1 - k) * (2 - k))) ** (1 / k))
         for u in (0.0, 1.0, 10.0):
             for beta in (0.5, 1.0, 3.0):
                 for fu in (0.0, 0.5, 0.9):

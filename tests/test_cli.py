@@ -645,3 +645,19 @@ def test_cli_simulate_length_below_two_exits_1():
                               "--length", "1"])
     assert code == 1 and out == ""
     assert err == "pelve simulate: argument --length: must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "sizes", [["--length", "1000000000000000"], ["--length", "50", "--bins", "1000000000000000"]],
+    ids=["length", "bins"],
+)
+def test_cli_simulate_size_too_large_to_allocate_exits_2(sizes):
+    # 10**15 doubles lie past a 48-bit address space, so numpy refuses the
+    # array before it allocates anything.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["simulate", "--dist", "normal:0,1", "--replicates", "3", *sizes]
+    proc = subprocess.run([sys.executable, "-m", "pelve.cli", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("pelve: ") and "Traceback" not in proc.stderr

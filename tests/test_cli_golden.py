@@ -5,13 +5,16 @@ Each case runs the command line in a fresh interpreter on this checkout's
 ``src``, so warnings and anything else the process writes count too.  The
 stored copies are rewritten with ``python tests/test_cli_golden.py``, which
 prints the name of each case whose record changed and each stdout line that
-moved, as old -> new; a change that alters them must say why.
+moved, as old -> new; a change that alters them must say why.  For an
+``analytic`` case it also prints each moved var, es_n or pelve_n value's
+relative distance to perfbench/references.json, before -> after.
 """
 
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
+REFERENCES = SRC.parent / "perfbench" / "references.json"
 
 # "{returns_600}" stands for tests/data/returns_600.csv and "{returns_60}"
 # for its header plus first 60 rows, made afresh in a temporary directory.
@@ -92,6 +96,53 @@ def _run(argv: list, inputs: dict) -> dict:
     }
 
 
+def _values(argv: list, stdout: str) -> dict:
+    # {(metric, level): value} of an analytic case's CSV or JSON stdout; an
+    # infinite multiplier is inf.
+    if argv[:2] == ["--format", "json"]:
+        rows = [(r["metric"], r["level"], r["value"]) for r in json.loads(stdout)]
+    else:
+        rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    return {(m, float(level)): float("inf" if v is None else v) for m, level, v in rows}
+
+
+def _reference(argv: list, metric: str, level: float):
+    # The 35-digit reference of one analytic value as a string, or None.
+    # A pelve_n line of an excess model with F(u) > 0 takes the F(u) = 0
+    # case's: the multiplier does not depend on F(u).
+    dist, order = argv[argv.index("--dist") + 1], argv[argv.index("--order") + 1]
+    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))
+    case = refs.get(f"{dist}@{order}")
+    if case is None and metric.startswith("pelve") and dist.startswith("excessgpd:"):
+        case = refs.get(f"{dist.rsplit(',', 1)[0]},0@{order}")
+    if case is None:
+        return None
+    eps = float(case["epsilon"])
+    if metric == "var":
+        return case["var"] if level == 1.0 - eps else None
+    if metric.startswith("pelve"):
+        return case["pelve"] if level == eps else None
+    return case["es"].get(repr(level))
+
+
+def _distances(argv: list, before: str, after: str) -> list:
+    # "metric at level: old -> new" relative distances to the references,
+    # for each value of an analytic case that moved.
+    if "analytic" not in argv or not before or not after:
+        return []
+    old, new = _values(argv, before), _values(argv, after)
+    lines = []
+    for (metric, level), value in new.items():
+        ref = _reference(argv, metric, level)
+        if old.get((metric, level)) == value or ref is None:
+            continue
+        ref = Decimal(ref)
+        dist = [f"{float(abs(Decimal(v) - ref) / abs(ref)):.2g}"
+                for v in (old[metric, level], value)]
+        lines.append(f"{metric} at {level}: {dist[0]} -> {dist[1]}")
+    return lines
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
@@ -115,9 +166,12 @@ if __name__ == "__main__":
             old = path.read_text(encoding="utf-8") if path.exists() else None
             if old != text:
                 print(f"changed: {name}")
-                before = json.loads(old)["stdout"].splitlines() if old else []
-                after = json.loads(text)["stdout"].splitlines()
-                for a, b in itertools.zip_longest(before, after, fillvalue=""):
+                before = json.loads(old)["stdout"] if old else ""
+                after = json.loads(text)["stdout"]
+                for a, b in itertools.zip_longest(
+                        before.splitlines(), after.splitlines(), fillvalue=""):
                     if a != b:
                         print(f"  {a} -> {b}")
+                for line in _distances(argv, before, after):
+                    print(f"  distance to {REFERENCES.name}: {line}")
                 path.write_text(text, encoding="utf-8")

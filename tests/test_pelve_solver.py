@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from pelve import (
+    DEFAULT_C_TOL,
     AlphaOutOfRange,
     ExcessGPD,
     ExcessGPDLevelBelowBase,
@@ -110,7 +112,9 @@ def test_pelve_closed_thresholds_are_attained():
 
 
 def test_pelve_closed_excess_gpd_threshold_scales_with_base():
-    value = (2 / (0.75 * 1.75)) ** 4  # kappa = 0.25
+    # (2/(0.75 * 1.75))^4 at kappa = 0.25, correctly rounded from 40 digits.
+    with mpmath.workdps(40):
+        value = float((2 / (mpmath.mpf("0.75") * mpmath.mpf("1.75"))) ** 4)
     for fu in (0.0, 0.5, 0.9):
         d = ExcessGPD(1, 0.25, 2, fu)
         thr = (1 - fu) / value
@@ -290,6 +294,39 @@ def test_pelve2_tends_to_the_rv_limit_on_tails_that_are_not_pareto(name):
         distances.append(abs(two / limit - 1.0))
     assert all(a > b for a, b in zip(distances, distances[1:])), distances
     assert distances[-1] < 3e-4, distances
+
+
+def _frechet_pelve2(alpha, eps):
+    # The 40-digit root c of ES_2(1 - c eps) = Q(1 - eps) for the Frechet
+    # quantile Q(s) = (-log s)^(-1/alpha).  With y = -log p and
+    # a = 1 - 1/alpha, ES_2(p) = 2/(1 - p)^2 [2^-a g(a, 2y) - p g(a, y)],
+    # g the lower incomplete gamma function.
+    with mpmath.workdps(40):
+        a, e = 1 - 1 / mpmath.mpf(alpha), mpmath.mpf(eps)
+        target = (-mpmath.log1p(-e)) ** (-1 / mpmath.mpf(alpha))
+
+        def gap(c):
+            p = 1 - c * e
+            y = -mpmath.log(p)
+            g = (2 ** -a * mpmath.gammainc(a, 0, 2 * y) - p * mpmath.gammainc(a, 0, y))
+            return 2 / (1 - p) ** 2 * g - target
+
+        return mpmath.findroot(gap, mpmath.mpf(5))
+
+
+@pytest.mark.parametrize("name", ["frechet-2", "frechet-3"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_pelve2_on_frechet_matches_an_mpmath_root(name, eps):
+    # Within 6.0e-14 relative down to eps = 1e-4.  At 1e-6 the solve stops
+    # on its absolute bracket, c_tol (c_max - 1) with c_max = 1/eps, and is
+    # about 1e-9 relative off (a known defect), so only that bound holds.
+    q, tq, alpha = RV_TAILS[name]
+    got = pelve_from_quantile(q, 2, eps, tail_quantile_fn=tq).value
+    exact = _frechet_pelve2(alpha, eps)
+    if eps >= 1e-4:
+        assert float(abs(got - exact) / exact) < 1e-12
+    else:
+        assert float(abs(got - exact)) <= DEFAULT_C_TOL * (1 / eps - 1)
 
 
 def test_karamata_ratio():
