@@ -621,7 +621,13 @@ def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
     if floor > 0.0:
         # Above F(u) > 0 the level rounds to F(u) for the smallest u and to 1
         # for the largest: both lie outside the model.
-        np.clip(levels, math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0), out=levels)
+        low = math.nextafter(floor, 1.0)
+        if low == 1.0:
+            raise InvalidParameter(
+                f"no level lies strictly between base_cdf_at_u={floor} and 1: "
+                "the model has no level to sample above F(u)"
+            )
+        np.clip(levels, low, math.nextafter(1.0, 0.0), out=levels)
     # A quantile beyond the float range comes out as inf, which the callers
     # reject as a non-finite sample; numpy need not warn about it as well.
     with np.errstate(over="ignore"):

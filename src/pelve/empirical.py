@@ -28,7 +28,6 @@ further down.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,17 +105,19 @@ def es_n_weights(m: int, n: int, p: float) -> np.ndarray:
     return w
 
 
-def _increments(m: int, n: int, p) -> np.ndarray:
+def _increments(m: int, n: int, p, out: np.ndarray | None = None) -> np.ndarray:
     # h_p(i/m) - h_p((i-1)/m) for i = 1..m, with p a float (one row) or a
-    # (B, 1) column of levels (one row each).  h_p(i/m) is 0 for i/m <= p,
-    # so h is formed only from a cell below the lowest level on, and the
-    # increments under it are the zeros its differences would give.
+    # (B, 1) column of levels (one row each), written into ``out`` if given.
+    # h_p(i/m) is 0 for i/m <= p, so h is formed only from a cell below the
+    # lowest level on, and the increments under it are the zeros its
+    # differences would give.
     start = max(math.floor(float(np.min(p)) * m) - 1, 0)
     h = np.subtract(np.arange(start, m + 1) / m, p)
     np.maximum(h, 0.0, out=h)
     h /= 1.0 - p
     h **= n
-    w = np.zeros(h.shape[:-1] + (m,))
+    w = np.empty(h.shape[:-1] + (m,)) if out is None else out
+    w[..., :start] = 0.0
     np.subtract(h[..., 1:], h[..., :-1], out=w[..., start:])
     return w
 
@@ -174,8 +175,10 @@ class PelveColumns:
 
 
 # The batched solve takes rows in blocks of about this many doubles.  Its
-# n+1 cumulative-sum buffers and the few others of the cell search each
-# hold one block, near 256 KiB, whatever the number of rows.
+# scaled rows, its n+1 cumulative-sum buffers and the few others of the
+# cell search each hold one block, near 256 KiB, whatever the number of
+# rows; a _BlockSolver allocates the resident ones once and every block
+# reuses them.
 BLOCK_DOUBLES = 1 << 15
 
 # The cell search works with integers up to (m+n)^n times a sample scaled
@@ -213,9 +216,10 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     return _pelve_rows(rows, n, eps)
 
 
-def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
+def _pelve_rows(rows, n: int, eps: float, solver: _BlockSolver | None = None) -> PelveColumns:
     # The solve of both public entry points, each of which calls it directly,
-    # so that stacklevel=3 attributes the warning to their caller.
+    # so that stacklevel=3 attributes the warning to their caller.  A study
+    # passes the solver of its (m, n, eps), whose buffers serve every block.
     _check_level_eps(eps)
     _check_order(n)
     # C order keeps every row's dot product a unit-stride ddot, whose sum
@@ -227,7 +231,7 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
         )
     if not np.isfinite(rows).all():
         raise InvalidParameter(_NOT_FINITE)
-    m = rows.shape[1]
+    b, m = rows.shape
     if is_degenerate(m, eps):
         warnings.warn(
             f"m*eps = {m * eps:.3g} < 1: empirical VaR is the sample maximum "
@@ -235,59 +239,85 @@ def _pelve_rows(rows, n: int, eps: float) -> PelveColumns:
             SampleTooSmall,
             stacklevel=3,
         )
-    b = rows.shape[0]
+    step = block_rows(m)
+    if solver is None:
+        solver = _BlockSolver(m, n, eps, min(step, b))
     value, residual = np.empty(b), np.empty(b)
     iterations = np.empty(b, dtype=np.int64)
-    step = block_rows(m)
     for start in range(0, b, step):
         block = slice(start, start + step)
-        value[block], iterations[block], residual[block] = _solve_block(rows[block], n, eps)
+        value[block], iterations[block], residual[block] = solver.solve(rows[block])
     for column in (value, iterations, residual):
         column.flags.writeable = False
     return PelveColumns(value, iterations, residual)
 
 
-# The existence check at p = 0 and the left endpoint c = 1 put every row on
-# the same level, so one read-only weight vector each serves every block
-# with the same (m, n, eps), also across calls: a study solves its
-# replicates one block per call.
-@functools.lru_cache(maxsize=1, typed=True)
-def _check_weights(m: int, n: int, eps: float) -> tuple:
-    return es_n_weights(m, n, 0.0), es_n_weights(m, n, 1.0 - eps)
+def _first_width(m: int, eps: float) -> int:
+    # The top order statistics the first cell search reads.
+    return min(8 * (math.floor(eps * m) + 1), m)
 
 
-def _solve_block(x: np.ndarray, n: int, eps: float):
-    b, m = x.shape
-    i_var = _var_index(m, 1.0 - eps)
-    # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as 2^-e
-    # overflows for a row of subnormals), so that x - VaR-hat, the weighted
-    # sums of it and the cell search's sums stay finite.  The scaling changes
-    # no root and the sign of no sum; its only rounding is in values pushed
-    # below the normal floats.  The residual goes back by 2^e.
-    e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
-    x = np.ldexp(x, -e[:, None])
-    excess = x - x[:, i_var - 1, None]
-    at_zero, at_one = _check_weights(m, n, eps)
-    infinite = _row_dots(at_zero, excess) > 0.0
-    g1 = _row_dots(at_one, excess)
-    solve = ~infinite & (g1 > 0.0)
-    # An infinite row's residual is 0 before the residuals go back by 2^e,
-    # which its discarded c = 1 gap could overflow.
-    value = np.where(infinite, math.inf, 1.0)
-    iterations = np.zeros(b, dtype=np.int64)
-    residual = np.where(infinite, 0.0, np.abs(g1))
-    # The open rows' excess is formed again for their residual, so that the
-    # root search runs with one block-sized buffer fewer.
-    del excess
-    if solve.any():
-        if not solve.all():
-            x = x[solve]  # the open rows only
-        c, iterations[solve] = _roots(x, n, eps, m - i_var)
-        value[solve] = c
+class _BlockSolver:
+    # The batched solve of blocks of up to `rows` rows of length m at one
+    # order n and eps.  It holds what every block would otherwise allocate
+    # anew, which the allocator may hand back and fault in again on each
+    # block: the check weights at p = 0 and at the left endpoint c = 1 (one
+    # level for every row), one block of scaled rows, which later holds the
+    # residual's weights, and the cumulative sums s of the first cell
+    # search, made when a block first needs them.  Every use writes what it
+    # reads, so no block sees another's values.
+
+    def __init__(self, m: int, n: int, eps: float, rows: int) -> None:
+        self.n, self.eps = n, eps
+        self.i_var = _var_index(m, 1.0 - eps)
+        self.at_zero = es_n_weights(m, n, 0.0)
+        self.at_one = es_n_weights(m, n, 1.0 - eps)
+        self.scaled = np.empty((rows, m))
+        self.sums = None
+
+    def solve(self, x: np.ndarray):
+        # (value, iterations, residual) of each row of the block x.
+        n, eps, i_var = self.n, self.eps, self.i_var
+        b, m = x.shape
+        # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as
+        # 2^-e overflows for a row of subnormals), so that x - VaR-hat, the
+        # weighted sums of it and the cell search's sums stay finite.  The
+        # scaling changes no root and the sign of no sum; its only rounding
+        # is in values pushed below the normal floats.  The residual goes
+        # back by 2^e.
+        e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
+        x = np.ldexp(x, -e[:, None], out=self.scaled[:b])
         excess = x - x[:, i_var - 1, None]
-        levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
-        residual[solve] = np.abs(_row_dots(_increments(m, n, levels), excess))
-    return value, iterations, np.ldexp(residual, e)
+        infinite = _row_dots(self.at_zero, excess) > 0.0
+        g1 = _row_dots(self.at_one, excess)
+        solve = ~infinite & (g1 > 0.0)
+        # An infinite row's residual is 0 before the residuals go back by
+        # 2^e, which its discarded c = 1 gap could overflow.
+        value = np.where(infinite, math.inf, 1.0)
+        iterations = np.zeros(b, dtype=np.int64)
+        residual = np.where(infinite, 0.0, np.abs(g1))
+        # The open rows' excess is formed again for their residual, so that
+        # the root search runs with one block-sized buffer fewer.
+        del excess
+        if solve.any():
+            if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
+                raise OrderOutOfRange(
+                    f"order {n} is too large for the exact solve on {m} values "
+                    f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
+                )
+            if not solve.all():
+                x = x[solve]  # the open rows only
+            if self.sums is None:
+                shape = (n + 1, len(self.scaled), _first_width(m, eps) + n)
+                self.sums = np.empty(shape)
+            k = len(x)
+            c, iterations[solve] = _roots(x, n, eps, m - i_var, s=self.sums[:, :k])
+            value[solve] = c
+            excess = x - x[:, i_var - 1, None]
+            levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
+            weights = _increments(m, n, levels, out=self.scaled[:k])
+            residual[solve] = np.abs(_row_dots(weights, excess))
+        return value, iterations, np.ldexp(residual, e)
 
 
 def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:
@@ -331,10 +361,12 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
 
 
-def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = None):
+def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = None,
+           s: np.ndarray | None = None):
     # Exact multiplier of every row of x, each scaled into (-1, 1) with its
     # gap positive at c = 1 and not at c = 1/eps; j_var = m - i_var, so
-    # G = x_(m) - x_(m-j_var).  Returns (c, in-cell bisection steps).
+    # G = x_(m) - x_(m-j_var).  Returns (c, in-cell bisection steps).  s, if
+    # given, is the (n+1, k, width+n) buffer of the first search's sums.
     #
     # The root's cell is searched for among the top `width` order statistics
     # only, at first 8(floor(eps*m) + 1) of them, which hold the cell of
@@ -343,19 +375,15 @@ def _roots(x: np.ndarray, n: int, eps: float, j_var: int, width: int | None = No
     # cumulative sum has the bits of the full one, and nothing below reads
     # past the cell, so each row gets the bits of the search over all m.
     k, m = x.shape
-    if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
-        raise OrderOutOfRange(
-            f"order {n} is too large for the exact solve on {m} values "
-            f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
-        )
     first = math.floor(eps * m) + 1
-    width = min(8 * first if width is None else width, m)
+    width = _first_width(m, eps) if width is None else min(width, m)
     rows = np.arange(k)
     eulerian = _eulerian(n)
     # s[r, :, n + i] = S_{r+1}(i), the (r+1)-fold cumulative sum of the top
     # gaps d_1..d_i for i < width, so S_1(i) = x_(m) - x_(m-i); the n leading
     # zero columns stand for i < 0.
-    s = np.empty((n + 1, k, width + n))
+    if s is None:
+        s = np.empty((n + 1, k, width + n))
     s[:, :, :n] = 0.0
     np.subtract(x[:, -1:], x[:, ::-1][:, :width], out=s[0, :, n:])
     for r in range(n):

@@ -8,7 +8,9 @@ never reuse each other's draws; a study is deterministic in its seed and
 independent of evaluation order.  Replicates are solved in blocks: each
 block of draws is stacked, sorted along its rows and passed to the batched
 empirical solve, which gives every replicate the same estimate, bit for
-bit, as ``empirical_pelve`` on its own sample.
+bit, as ``empirical_pelve`` on its own sample.  A study allocates one
+block of draws and one set of the solve's buffers, and every block reuses
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel, _check_count, _check_order, sample
-from .empirical import block_rows, empirical_pelve_rows
+from .empirical import _BlockSolver, _pelve_rows, block_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
 from .errors import NoFiniteEstimates, PelveError
@@ -70,15 +72,16 @@ def _finite_values(estimates) -> np.ndarray:
     return np.array([e.value for e in estimates if e is not None and e.is_finite])
 
 
-def _estimate_rows(block: np.ndarray, cfg: StudyConfig) -> list:
+def _estimate_rows(block: np.ndarray, cfg: StudyConfig, solver: _BlockSolver) -> list:
     # Per sorted row of the block, its PelveResult or error message.
     try:
-        solved = empirical_pelve_rows(block, cfg.n, cfg.eps)
+        solved = _pelve_rows(block, cfg.n, cfg.eps, solver)
     except PelveError as exc:
         if len(block) > 1:
             # The error may come from some rows only, such as a draw that
             # overflowed to inf: solve each on its own.
-            return [outcome for row in block for outcome in _estimate_rows(row[None, :], cfg)]
+            return [outcome for row in block
+                    for outcome in _estimate_rows(row[None, :], cfg, solver)]
         return [str(exc)]
     return list(map(solved.result, range(len(solved))))
 
@@ -94,16 +97,18 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     estimates: list = []
     failures: list = []
     m = cfg.sample_len
-    step = block_rows(m)
+    step = min(block_rows(m), cfg.replicates)
+    solver = _BlockSolver(m, cfg.n, cfg.eps, step)
+    draws = np.empty((step, m))
     for first in range(1, cfg.replicates + 1, step):
         replicates = range(first, min(first + step, cfg.replicates + 1))
-        block = np.empty((len(replicates), m))
+        block = draws[: len(replicates)]
         for row, r in zip(block, replicates):
             row[:] = sample(cfg.dist, replicate_seed(cfg.seed, r), m)
         # Any sort will do: it can only order -0.0 against 0.0 differently
         # from OrderedSample's stable sort, which no estimate can see.
         block.sort(axis=1)
-        for r, outcome in zip(replicates, _estimate_rows(block, cfg)):
+        for r, outcome in zip(replicates, _estimate_rows(block, cfg, solver)):
             if isinstance(outcome, str):
                 failures.append((r, outcome))
                 estimates.append(None)

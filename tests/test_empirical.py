@@ -588,7 +588,7 @@ def test_a_bool_is_no_order():
 
 # --- the prefix cell search ---------------------------------------------------
 
-def _full_width_roots(x, n, eps, j_var):
+def _full_width_roots(x, n, eps, j_var, width=None, s=None):
     # The cell search over every row's full length, as it stood before the
     # search began at the top order statistics: the oracle the prefix search
     # must match bit for bit.
