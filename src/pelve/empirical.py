@@ -264,8 +264,9 @@ class _BlockSolver:
     # block: the check weights at p = 0 and at the left endpoint c = 1 (one
     # level for every row), one block of scaled rows, which later holds the
     # residual's weights, and the cumulative sums s of the first cell
-    # search, made when a block first needs them.  Every use writes what it
-    # reads, so no block sees another's values.
+    # search, made when a block first needs them and after the order check,
+    # so that an order too large for the solve allocates none.  Every use
+    # writes what it reads, so no block sees another's values.
 
     def __init__(self, m: int, n: int, eps: float, rows: int) -> None:
         self.n, self.eps = n, eps

@@ -361,6 +361,15 @@ def test_cli_analytic_quantile_overflow_exits_2():
     assert "Traceback" not in err
 
 
+def test_cli_simulate_excess_model_with_no_level_above_its_base_exits_2():
+    # F(u) is the largest double below 1, so no level lies above it.
+    code, out, err = run_cli(["simulate", "--dist", "excessgpd:1,0.3,1,0.9999999999999999",
+                              "--replicates", "2", "--length", "100"])
+    assert code == 2 and out == ""
+    assert err == ("pelve: no level lies strictly between base_cdf_at_u=0.9999999999999999 "
+                   "and 1: the model has no level to sample above F(u)\n")
+
+
 def test_cli_analytic_infinite_quantile_exits_2():
     # mean + stddev * z overflows to inf; the VaR is past the float range,
     # so no ES row or solve sees an infinite level.

@@ -303,6 +303,20 @@ def test_sample_excess_gpd_keeps_draws_inside_the_model(draws, levels, monkeypat
     assert np.array_equal(sample(d, 0, len(draws)), d.quantile(np.array(levels)))
 
 
+def test_sample_rejects_an_excess_model_with_no_level_above_its_base():
+    # No double lies strictly between F(u) = 1 - 2^-53 and 1: the clip into
+    # (F(u), 1) had crossed bounds and set every level to F(u), which the
+    # quantile then rejected as an array of levels printed as 1.
+    top = math.nextafter(1.0, 0.0)
+    with pytest.raises(InvalidParameter) as info:
+        sample(ExcessGPD(1, 0.3, 1, top), 0, 5)
+    assert str(info.value) == ("no level lies strictly between base_cdf_at_u=0.9999999999999999 "
+                               "and 1: the model has no level to sample above F(u)")
+    # One double further down, F(u) leaves one level to sample: 1 - 2^-53.
+    d = ExcessGPD(1, 0.3, 1, math.nextafter(top, 0.0))
+    assert np.array_equal(sample(d, 0, 5), np.full(5, d.quantile(top)))
+
+
 def test_sample_count_validation():
     with pytest.raises(InvalidParameter):
         sample(Uniform(0, 1), 1, 0)

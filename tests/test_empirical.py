@@ -705,3 +705,42 @@ def test_a_block_mixes_prefix_widened_infinite_and_one_rows(monkeypatch):
         assert set(_kinds(got, m, eps)) == {"inf", "one", "widened", "prefix"}, n
         for row, result in zip(rows, got):
             assert _bits(empirical_pelve_rows(row[None, :], n, eps).result(0)) == _bits(result)
+
+
+# --- buffers reused across blocks ---------------------------------------------
+
+def _min_level(values, eps):
+    # The lowest residual level 1 - c*eps among a block's open rows.
+    open_ = values[np.isfinite(values) & (values > 1.0)]
+    return 1.0 - open_.max() * eps
+
+
+def test_blocks_that_reuse_the_buffers_leak_nothing_into_each_other():
+    # One call solves every block with the same buffers.  The blocks below
+    # differ in what they leave there: all rows open, only a subset open,
+    # rows searched wider, residual levels lower than the block before, and
+    # a partial last block.  Each row must still have the bits of a call on
+    # that row alone, with the full blocks in either order.
+    m, eps = 1000, 0.05
+    step = block_rows(m)
+    assert step == 32
+    open_ = _draws(Normal(0, 1), step, m)
+    mixed = _draws(Normal(0, 1), step, m, seed=50)
+    mixed[[3, 20]] = 0.37  # c = 1
+    mixed[[10, 25], -1] = 1e6  # infinite
+    wide = _draws(Pareto(1, 1.2), step, m, seed=100)
+    lower = _draws(Pareto(1, 1.05), step, m, seed=200)
+    last = _draws(Normal(0, 1), 7, m, seed=300)
+    blocks = [open_, mixed, wide, lower]
+    for n in (1, 2, 3):
+        kinds = [_kinds(_results(empirical_pelve_rows(b, n, eps)), m, eps) for b in blocks]
+        assert set(kinds[0]) == {"prefix"}, n
+        assert {"inf", "one"} <= set(kinds[1]) and "prefix" in kinds[1], n
+        assert "widened" in kinds[2], n
+        levels = [_min_level(empirical_pelve_rows(b, n, eps).value, eps) for b in blocks]
+        assert levels[3] < levels[2], n
+        for order in (blocks, blocks[::-1]):
+            rows = np.concatenate(order + [last])
+            got = _results(empirical_pelve_rows(rows, n, eps))
+            alone = [empirical_pelve(OrderedSample(row), n, eps) for row in rows]
+            assert [_bits(r) for r in got] == [_bits(r) for r in alone], n

@@ -1,7 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from pelve import (
     ExcessGPD,
@@ -22,8 +31,10 @@ from pelve import (
 )
 from pelve.cli import RollingConfig
 from pelve.empirical import block_rows
+from pelve import montecarlo
 from pelve.montecarlo import replicate_seed
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 NORMAL_TARGET = 4.040815190877765  # analytic order-2 multiplier at eps 0.05
 
 
@@ -242,3 +253,57 @@ def test_study_modal_bin_contains_mean():
     hist = export_histogram(res, 30)
     lo, hi, _ = max(hist, key=lambda row: row[2])
     assert lo - 0.1 <= res.mean <= hi + 0.1
+
+
+@pytest.mark.parametrize(
+    "cfg, falls_back",
+    [
+        (StudyConfig(Normal(0, 1), 2, 0.05, 100, 5000, 1), False),  # 17 blocks
+        # One-row solves after a block with overflowed draws.
+        (StudyConfig(Pareto(1, 0.01), 2, 0.05, 25, 200, 1), True),
+        # One-row solves after blocks where some rows need too large an order.
+        (StudyConfig(Normal(0, 1), 85, 0.008, 24, 5000, 1), True),
+    ],
+    ids=["normal", "pareto-overflow", "order-85"],
+)
+def test_a_study_builds_one_set_of_solve_buffers(monkeypatch, cfg, falls_back):
+    built = []
+
+    class Counting(montecarlo._BlockSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(montecarlo, "_BlockSolver", Counting)
+    with np.errstate(over="ignore"):
+        res = run_study(cfg)
+    assert len(built) == 1
+    assert bool(res.failures) == falls_back
+
+
+_REPEATED_STUDY = """
+import resource
+from pelve import Normal, StudyConfig, run_study
+cfg = StudyConfig(Normal(0, 1), 2, 0.05, 100, 5000, 1)
+run_study(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_study(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"),
+    reason="counts minor page faults with getrusage on Linux",
+)
+def test_a_repeated_study_faults_in_few_pages():
+    # A study reuses one block of draws and one set of solve buffers, so a
+    # second identical study finds its memory already mapped; buffers made
+    # per block can be trimmed and faulted in again by the allocator, at
+    # several thousand minor faults a study.  Whether they are depends on
+    # the heap's history, so the study runs in a fresh interpreter.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_STUDY], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) < 1000
