@@ -15,8 +15,10 @@ empirical solves are exact).  Every other ``analytic`` value comes from the
 family's closed forms, so there is no quadrature tolerance.  Exit codes:
 0 success, 1 usage error, 2 data error.
 
-Input CSV is UTF-8 with a mandatory ``date,price`` or ``date,return``
-header; dates are ISO-8601 and strictly increasing.  Return values are
+Input CSV is UTF-8, with or without a leading byte-order mark, with a
+mandatory ``date,price`` or ``date,return`` header; dates are ISO-8601 and
+strictly increasing.  Bytes that are not UTF-8 and fields longer than the
+csv module's limit are data errors.  Return values are
 parsed as ordinary decimal literals and kept as given — whether they are
 raw or percent returns is up to the producer of the file.
 
@@ -126,7 +128,15 @@ class RollingConfig:
 
 
 def _parse_rows(csv_text: str, value_column: str):
-    reader = csv.reader(io.StringIO(csv_text))
+    # One leading byte-order mark, which some editors write, is skipped.
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
+    try:
+        return _parse_records(reader, value_column)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_records(reader, value_column: str):
     try:
         header = next(reader)
     except StopIteration:
@@ -295,8 +305,11 @@ def _cmd_analytic(args, out, err) -> int:
 
 
 def _load_series(args) -> ReturnSeries:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()  # one decode of the whole file: exc.start is a file offset
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"input is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     return ingest_prices(text) if args.kind == "prices" else ingest_returns(text)
 
 

@@ -132,17 +132,8 @@ def _log_kernel_moment(n: int, k: float) -> float:
 # Floats go through plain comparisons and ``math``: numpy on one float costs
 # several times the formula itself, and its vectorised log may differ from
 # libm by an ulp.  Arrays go through numpy.
-
-def _log(x):
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def _log1p(x):
-    return np.log1p(x) if isinstance(x, np.ndarray) else math.log1p(x)
-
-
-def _expm1(x):
-    return np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x)
+def _lib(x):
+    return np if isinstance(x, np.ndarray) else math
 
 
 # AS241's three rational approximations, numerator and denominator
@@ -178,20 +169,12 @@ _HALF, _ONE, _SPLIT, _BODY_R, _TAIL_R, _FAR_R = map(
 )
 
 
-def _ratio(branch: int, x: float) -> float:
-    # One AS241 rational by Horner, in the order the array path keeps.
-    num, den = _AS241[branch]
-    a, b = num[0] * x, den[0] * x
-    for cn, cd in zip(num[1:-1], den[1:-1]):
-        a, b = (a + cn) * x, (b + cd) * x
-    return (a + num[-1]) / (b + den[-1])
-
-
-def _ratio_array(branch: int, x: np.ndarray) -> np.ndarray:
-    # _ratio on a 1-d array, each Horner step in place.  Two 1-d passes per
-    # step measured faster than one pass over a stacked (2, N) array, whose
-    # constants must broadcast.
-    num, den = _AS241_ARRAYS[branch]
+def _ratio(branch: int, x):
+    # One AS241 rational by Horner on a float or a 1-d array.  Each step runs
+    # in place on an array; on a float += and *= rebind, so a float gets
+    # (a + c) * x.  Two 1-d passes per step measured faster than one pass
+    # over a stacked (2, N) array, whose constants must broadcast.
+    num, den = (_AS241_ARRAYS if isinstance(x, np.ndarray) else _AS241)[branch]
     a, b = num[0] * x, den[0] * x
     for cn, cd in zip(num[1:-1], den[1:-1]):
         a += cn
@@ -200,7 +183,7 @@ def _ratio_array(branch: int, x: np.ndarray) -> np.ndarray:
         b *= x
     a += num[-1]
     b += den[-1]
-    return np.divide(a, b, out=a)
+    return a / b
 
 
 def _ndtri_float(p: float) -> float:
@@ -213,35 +196,24 @@ def _ndtri_float(p: float) -> float:
 
 
 def _ndtri_array(p: np.ndarray) -> np.ndarray:
-    # _ndtri_float node by node, for any shape.  The first branch present
-    # runs on every remaining node, where its rational stays finite (the
-    # body's denominator is positive down to 0.180625 - 0.25, and the tail's
-    # terms are positive on far nodes), and a later branch overwrites its own
-    # nodes from a gathered copy; a branch that holds every node is neither
-    # gathered nor scattered.  Each node gets the float path's operations,
+    # _ndtri_float node by node, for any shape.  The body's rational runs on
+    # every node, where it stays finite (its denominator is positive down to
+    # 0.180625 - 0.25).  The tail's then overwrites the gathered tail nodes:
+    # its terms stay positive on the far ones, so it warns nowhere.  The far
+    # tail's overwrites those.  Each node gets the float path's operations,
     # whatever the array's shape.
     flat = p.ravel()
     q = flat - _HALF
+    z = _ratio(_BODY, np.subtract(_BODY_R, q * q))
+    z *= q
     tail = (np.abs(q) > _SPLIT).nonzero()[0]
-    z = None
-    if tail.size < q.size:
-        z = _ratio_array(_BODY, np.subtract(_BODY_R, q * q))
-        z *= q
-        if not tail.size:
-            return z.reshape(p.shape)
-        flat, q = flat[tail], q[tail]
+    flat, q = flat[tail], q[tail]
     r = np.minimum(flat, _ONE - flat)
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+    w = _ratio(_TAIL, r - _TAIL_R)
     far = (r > _FAR_R).nonzero()[0]
-    if far.size == r.size:
-        w = _ratio_array(_FAR, r - _FAR_R)
-    else:
-        w = _ratio_array(_TAIL, r - _TAIL_R)
-        if far.size:
-            w[far] = _ratio_array(_FAR, r[far] - _FAR_R)
+    w[far] = _ratio(_FAR, r[far] - _FAR_R)
     np.copysign(w, q, out=w)
-    if z is None:
-        return w.reshape(p.shape)
     z[tail] = w
     return z.reshape(p.shape)
 
@@ -358,7 +330,7 @@ class _Family:
             raise ExcessGPDLevelBelowBase(below_base.format(low=low, high=high, x=x))
         try:
             value = formula(x)
-        except OverflowError:  # raised by float **
+        except OverflowError:  # raised by float ** and by math.expm1
             value = math.inf
         if not isinstance(x, np.ndarray) and not math.isfinite(value):
             raise QuantileOverflow(f"quantile of {self!r} at {what} {x} exceeds the float range")
@@ -395,7 +367,7 @@ def _excess(u, k, b, log_x, log_s=0.0, h=0.0):
     # at 0 (H_n for S_n).  expm1 keeps the digits of a small k.
     if k == 0.0:
         return u + b * (h - log_x)
-    return u + (b / k) * _expm1(log_s - k * log_x)
+    return u + (b / k) * _lib(log_x).expm1(log_s - k * log_x)
 
 
 class _GPDFormulas(_Family):
@@ -437,11 +409,11 @@ class _GPDFormulas(_Family):
 
     def _quantile(self, p):
         u, k, b, fu = self._gpd()
-        return _excess(u, k, b, _log1p(-p) - math.log1p(-fu))
+        return _excess(u, k, b, _lib(p).log1p(-p) - math.log1p(-fu))
 
     def _tail_quantile(self, t):
         u, k, b, fu = self._gpd()
-        return _excess(u, k, b, _log(t) - math.log1p(-fu))
+        return _excess(u, k, b, _lib(t).log(t) - math.log1p(-fu))
 
     def _es_closed(self, n: int, p: float) -> float:
         # Every order, for shape < 1.

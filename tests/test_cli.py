@@ -132,6 +132,23 @@ def test_ingest_errors_keep_line_numbers_and_messages():
         assert str(caught.value) == message
 
 
+def test_ingest_rejects_a_field_over_the_csv_limit():
+    long = "1" * 140_000
+    with pytest.raises(MalformedCsv, match=r"^line 3: field larger than field limit"):
+        ingest_returns(f"date,return\n2020-01-01,0.1\n2020-01-02,{long}\n")
+    with pytest.raises(MalformedCsv, match=r"^line 1: "):
+        ingest_prices(f"date,{long}\n")
+
+
+def test_ingest_skips_one_leading_byte_order_mark():
+    returns = "date,return\n2020-01-01,0.1\n2020-01-02,0.2\n"
+    prices = "date,price\n2020-01-01,100\n2020-01-02,110\n"
+    assert ingest_returns("\ufeff" + returns) == ingest_returns(returns)
+    assert ingest_prices("\ufeff" + prices) == ingest_prices(prices)
+    with pytest.raises(MalformedCsv, match="expected header"):
+        ingest_returns("\ufeff\ufeff" + returns)
+
+
 # --- rolling -----------------------------------------------------------------
 
 def test_rolling_constant_series():
@@ -609,6 +626,37 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_FILE_COMMANDS = [["empirical", "--order", "2"], ["rolling", "--window", "100"]]
+_BAD_BYTES = {
+    # \xe9 at byte 40 is Latin-1, not UTF-8.
+    "not-utf-8": (b"date,return\n2020-01-01,0.1\n2020-01-02,0.\xe9\n",
+                  "input is not UTF-8: invalid continuation byte at byte offset 40"),
+    "field-over-the-csv-limit": (b"date,return\n2020-01-01,0.1\n2020-01-02," + b"1" * 140_000 + b"\n",
+                                 "line 3: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("command", _FILE_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("data, message", _BAD_BYTES.values(), ids=list(_BAD_BYTES))
+def test_cli_bad_csv_bytes_exit_2(tmp_path, command, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code, out, err = run_cli([command[0], "--input", str(path), "--kind", "returns", *command[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pelve: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", _FILE_COMMANDS, ids=lambda c: c[0])
+def test_cli_reads_a_file_with_a_byte_order_mark_as_the_file_without(tmp_path, command):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + DATA.read_bytes())
+    runs = [run_cli([command[0], "--input", str(path), "--kind", "returns", *command[1:]])
+            for path in (DATA, marked)]
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,10 @@ def test_cdf_examples():
     assert Pareto(1, 2).cdf(2) == pytest.approx(0.75, abs=1e-15)
     assert GeneralizedPareto(0, 1).cdf(1) == pytest.approx(1 - math.exp(-1), abs=1e-15)
     assert GeneralizedPareto(-1, 1).cdf(2) == 1.0
+    # Below the support the CDF is 0.
+    for d, x in ((Uniform(0, 1), -0.5), (Exponential(1), -1.0), (Pareto(1, 2), 0.5),
+                 (GeneralizedPareto(0.5, 1), -1.0)):
+        assert d.cdf(x) == 0.0, d
 
 
 def test_excess_model_cdfs_keep_their_digits_next_to_the_threshold():

@@ -93,6 +93,17 @@ def test_array_bits_do_not_depend_on_shape_or_position():
     panels = LEVELS[:-(LEVELS.size % 15) or None].reshape(-1, 15)
     for levels in (panels, panels.T, np.asfortranarray(panels), panels[::2, ::3]):
         assert np.array_equal(quantile(STD, levels), singles[np.searchsorted(LEVELS, levels)])
+    # A 0-d array keeps its shape, and so does an empty one.
+    zero_d = [quantile(STD, np.array(p)) for p in LEVELS]
+    assert all(np.shape(v) == () for v in zero_d)
+    assert np.array_equal(zero_d, singles)
+    for shape in ((0,), (0, 3)):
+        assert quantile(STD, np.empty(shape)).shape == shape
+    # The float path matches in the body, which takes only + - * /.  The
+    # tails are not asserted: there floats take math.log and arrays np.log,
+    # which may differ by an ulp.
+    floats = np.array([quantile(STD, float(p)) for p in LEVELS[body]])
+    assert np.array_equal(floats.view(np.uint64), singles[body].view(np.uint64))
 
 
 def test_cdf_matches_mpmath():
