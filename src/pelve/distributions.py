@@ -212,7 +212,8 @@ def _ndtri_array(p: np.ndarray) -> np.ndarray:
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
     w = _ratio(_TAIL, r - _TAIL_R)
     far = (r > _FAR_R).nonzero()[0]
-    w[far] = _ratio(_FAR, r[far] - _FAR_R)
+    if far.size:  # rare, min(p, 1 - p) < exp(-25): an empty pass is a tenth of 5,000 draws
+        w[far] = _ratio(_FAR, r[far] - _FAR_R)
     np.copysign(w, q, out=w)
     z[tail] = w
     return z.reshape(p.shape)
