@@ -17,10 +17,12 @@ family's closed forms, so there is no quadrature tolerance.  Exit codes:
 
 Input CSV is UTF-8, with or without a leading byte-order mark, with a
 mandatory ``date,price`` or ``date,return`` header; dates are ISO-8601 and
-strictly increasing.  Bytes that are not UTF-8 and fields longer than the
-csv module's limit are data errors.  Return values are
-parsed as ordinary decimal literals and kept as given — whether they are
-raw or percent returns is up to the producer of the file.
+strictly increasing.  Lines may end in LF, CRLF or CR.  Bytes that are not
+UTF-8 and fields longer than the csv module's limit are data errors.  Values
+go through Python's ``float()``, which also takes forms such as ``1_0`` (10)
+and other scripts' digits, and must be finite; return values are kept as
+given — whether they are raw or percent returns is up to the producer of the
+file.
 
 Sign convention: estimators are applied to the series as ingested;
 ``--negate`` flips returns to losses for users who book losses positive.
@@ -128,49 +130,46 @@ class RollingConfig:
 
 
 def _parse_rows(csv_text: str, value_column: str):
+    # newline=None reads LF, CRLF and CR line ends alike, as open() does for a
+    # file, and every "line N" is the reader's own count of physical lines.
     # One leading byte-order mark, which some editors write, is skipped.
-    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
-    try:
-        return _parse_records(reader, value_column)
-    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
-
-
-def _parse_records(reader, value_column: str):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsv("empty input; expected a header row") from None
-    if [h.strip().lower() for h in header] != ["date", value_column]:
-        raise MalformedCsv(
-            f"expected header 'date,{value_column}', got {','.join(header)!r}"
-        )
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff"), newline=None))
     dates, values = [], []
     prev: Optional[date] = None
     fromisoformat, isfinite = date.fromisoformat, math.isfinite
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            if not row:
-                continue
-            raise MalformedCsv(f"line {lineno}: expected 2 fields, got {len(row)}")
-        text, cell = row
-        text = text.strip()
-        try:
-            d = fromisoformat(text)
-            v = float(cell)
-        except ValueError as exc:
-            raise MalformedCsv(f"line {lineno}: {exc}") from None
-        if not isfinite(v):
-            raise MalformedCsv(f"line {lineno}: non-finite value {cell!r}")
-        if prev is not None and d <= prev:
-            raise NonMonotoneDates(
-                f"line {lineno}: date {d.isoformat()} not after {prev.isoformat()}"
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedCsv("empty input; expected a header row")
+        if [h.strip().lower() for h in header] != ["date", value_column]:
+            raise MalformedCsv(
+                f"expected header 'date,{value_column}', got {','.join(header)!r}"
             )
-        prev = d
-        # A parsed YYYY-MM-DD is already its own isoformat(); the other
-        # forms fromisoformat accepts (20200102, 2020-W01-4) are rewritten.
-        dates.append(text if len(text) == 10 and text[4] == text[7] == "-" else d.isoformat())
-        values.append(v)
+        for row in reader:
+            if len(row) != 2:
+                if not row:
+                    continue
+                raise MalformedCsv(f"line {reader.line_num}: expected 2 fields, got {len(row)}")
+            text, cell = row
+            text = text.strip()
+            try:
+                d = fromisoformat(text)
+                v = float(cell)
+            except ValueError as exc:
+                raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
+            if not isfinite(v):
+                raise MalformedCsv(f"line {reader.line_num}: non-finite value {cell!r}")
+            if prev is not None and d <= prev:
+                raise NonMonotoneDates(
+                    f"line {reader.line_num}: date {d.isoformat()} not after {prev.isoformat()}"
+                )
+            prev = d
+            # A parsed YYYY-MM-DD is already its own isoformat(); the other
+            # forms fromisoformat accepts (20200102, 2020-W01-4) are rewritten.
+            dates.append(text if len(text) == 10 and text[4] == text[7] == "-" else d.isoformat())
+            values.append(v)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise MalformedCsv(f"line {reader.line_num}: {exc}") from None
     return dates, values
 
 

@@ -18,7 +18,8 @@ The normal's formulas are its own.  Pareto keeps its power-form quantile,
 which its draws go through.
 
 ``quantile(p)`` and ``tail_quantile(t)`` (the quantile at 1 - t) map a float
-to a Python float and a numpy array to an array of the same shape.
+to a Python float and a numpy array, 0-d included, to an array of the same
+shape with the values of its levels in a 1-d array.
 ``es_closed(n, p)`` and ``closed_multiplier(n)`` give ES_n and PELVE_n in
 closed form, or raise NoClosedForm.  These four methods check the level,
 tail probability or order of every family evaluation; the formulas behind
@@ -196,19 +197,17 @@ def _ndtri_float(p: float) -> float:
 
 
 def _ndtri_array(p: np.ndarray) -> np.ndarray:
-    # _ndtri_float node by node, for any shape.  The body's rational runs on
+    # _ndtri_float node by node, on a 1-d array.  The body's rational runs on
     # every node, where it stays finite (its denominator is positive down to
     # 0.180625 - 0.25).  The tail's then overwrites the gathered tail nodes:
     # its terms stay positive on the far ones, so it warns nowhere.  The far
-    # tail's overwrites those.  Each node gets the float path's operations,
-    # whatever the array's shape.
-    flat = p.ravel()
-    q = flat - _HALF
+    # tail's overwrites those.  Each node gets the float path's operations.
+    q = p - _HALF
     z = _ratio(_BODY, np.subtract(_BODY_R, q * q))
     z *= q
     tail = (np.abs(q) > _SPLIT).nonzero()[0]
-    flat, q = flat[tail], q[tail]
-    r = np.minimum(flat, _ONE - flat)
+    p, q = p[tail], q[tail]
+    r = np.minimum(p, _ONE - p)
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
     w = _ratio(_TAIL, r - _TAIL_R)
     far = (r > _FAR_R).nonzero()[0]
@@ -216,7 +215,7 @@ def _ndtri_array(p: np.ndarray) -> np.ndarray:
         w[far] = _ratio(_FAR, r[far] - _FAR_R)
     np.copysign(w, q, out=w)
     z[tail] = w
-    return z.reshape(p.shape)
+    return z
 
 
 # The 15-node Gauss-Legendre rule as (fraction, weight) pairs of Python
@@ -275,7 +274,7 @@ def _normal_es(n: int, p: float) -> float:
 
 
 def _ndtri(x):
-    """Standard normal quantile of a float in (0, 1) or of an array."""
+    """Standard normal quantile of a float in (0, 1) or of a 1-d array."""
     return _ndtri_array(x) if isinstance(x, np.ndarray) else _ndtri_float(x)
 
 
@@ -329,11 +328,15 @@ class _Family:
             if not np.all((x > 0.0) & (x < 1.0)):
                 raise LevelOutOfRange(f"{what} must lie in (0, 1), got {x}")
             raise ExcessGPDLevelBelowBase(below_base.format(low=low, high=high, x=x))
+        if isinstance(x, np.ndarray):
+            # On the 1-d view, so that a 0-d array is not taken for a float
+            # by _lib or numpy's scalar paths and gets the array's bits.
+            return formula(x.reshape(-1)).reshape(x.shape)
         try:
             value = formula(x)
         except OverflowError:  # raised by float ** and by math.expm1
             value = math.inf
-        if not isinstance(x, np.ndarray) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise QuantileOverflow(f"quantile of {self!r} at {what} {x} exceeds the float range")
         return value
 

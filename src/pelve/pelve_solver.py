@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .distributions import DistributionModel, _log_kernel_moment, quantile
+from .distributions import DistributionModel, quantile
 from .errors import AlphaOutOfRange, ExcessGPDLevelBelowBase, InvalidParameter, LevelOutOfRange
 from .risk_measures import DEFAULT_REL_TOL, _node_callables, _TailTable, es_n
 
@@ -271,8 +271,10 @@ def pelve2_rv_limit(alpha: float) -> float:
     """Small-level limit of the order-2 multiplier for a nonnegative random
     variable with a regularly varying tail of index alpha > 1:
     (2*alpha^2 / ((alpha-1)*(2*alpha-1)))^alpha, the PELVE_2 of
-    Pareto(., alpha), computed as exp(alpha * log S_2(1/alpha)) so that a
-    large alpha keeps its digits.
+    Pareto(., alpha).  With r = 1/alpha the base is 1 + x, x =
+    (3 - r)/((2 - r)(alpha - 1)), and the limit is exp(alpha * log1p(x)):
+    alpha - 1, exact next to 1, is its one difference (1 - r would lose its
+    digits as alpha -> 1+), and nothing overflows below the float limit.
 
     Strictly decreasing in alpha with infimum e^(3/2); alpha must be finite.
     """
@@ -280,5 +282,6 @@ def pelve2_rv_limit(alpha: float) -> float:
         raise AlphaOutOfRange(f"tail index must exceed 1, got {alpha}")
     if alpha == math.inf:
         raise AlphaOutOfRange(f"tail index must be finite, got {alpha}")
-    return math.exp(alpha * _log_kernel_moment(2, 1.0 / alpha))
+    r = 1.0 / alpha
+    return math.exp(alpha * math.log1p((3.0 - r) / (2.0 - r) / (alpha - 1.0)))
 

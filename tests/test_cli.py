@@ -136,6 +136,21 @@ def test_ingest_errors_keep_line_numbers_and_messages():
         assert str(caught.value) == message
 
 
+def test_ingest_reads_lf_crlf_and_cr_alike():
+    # As open() reads a file: each line end is a newline, and a line number
+    # counts physical lines, a quoted field's included, whatever the ends.
+    returns = "date,return\n2020-01-01,0.1\n\n2020-01-02,0.2\n"
+    prices = "date,price\n2020-01-01,100\n2020-01-02,110\n"
+    for end in ("\n", "\r\n", "\r"):
+        assert ingest_returns(returns.replace("\n", end)) == ingest_returns(returns)
+        assert ingest_prices(prices.replace("\n", end)) == ingest_prices(prices)
+        for text, line in (("date,return\n2020-01-01,0.1\n2020-13-01,0.2\n", 3),
+                           ('date,return\n"2020-01-01\n",0.1\n2020-13-01,0.2\n', 4)):
+            with pytest.raises(MalformedCsv) as caught:
+                ingest_returns(text.replace("\n", end))
+            assert str(caught.value) == f"line {line}: month must be in 1..12"
+
+
 def test_ingest_skips_one_leading_byte_order_mark():
     returns = "date,return\n2020-01-01,0.1\n2020-01-02,0.2\n"
     prices = "date,price\n2020-01-01,100\n2020-01-02,110\n"
@@ -631,6 +646,20 @@ _BAD_BYTES = {
                   "input is not UTF-8: invalid continuation byte at byte offset 40"),
     "field-over-the-csv-limit": (b"date,return\n2020-01-01,0.1\n2020-01-02," + b"1" * 140_000 + b"\n",
                                  "line 3: field larger than field limit"),
+    "nul-in-a-value": (b"date,return\n2020-01-01,0.1\n2020-01-02,0.\x001\n",
+                       "line 3: could not convert string to float: '0.\\x001'"),
+    "nan": (b"date,return\n2020-01-01,0.1\n2020-01-02,nan\n", "line 3: non-finite value 'nan'"),
+    "inf": (b"date,return\n2020-01-01,0.1\n2020-01-02,inf\n", "line 3: non-finite value 'inf'"),
+    "1e400": (b"date,return\n2020-01-01,0.1\n2020-01-02,1e400\n",
+              "line 3: non-finite value '1e400'"),
+    "repeated-date": (b"date,return\n2020-01-01,0.1\n2020-01-01,0.2\n",
+                      "line 3: date 2020-01-01 not after 2020-01-01"),
+    "three-fields": (b"date,return\n2020-01-01,0.1\n2020-01-02,0.2,3\n",
+                     "line 3: expected 2 fields, got 3"),
+    "empty": (b"", "empty input; expected a header row"),
+    "header-alone": (b"date,return\n", "need >= 1 return row"),
+    "date-over-two-lines": (b'date,return\n"2020-01-01\n",0.1\n2020-13-01,0.2\n',
+                            "line 4: month must be in 1..12"),
 }
 
 
@@ -645,13 +674,31 @@ def test_cli_bad_csv_bytes_exit_2(tmp_path, command, data, message):
     assert "Traceback" not in err
 
 
+_LF = DATA.read_bytes()
+_FIRST_ROW = b"2020-01-01,0.03040044069430525\n"
+# Each file beside the LF file it must read as: a leading byte-order mark,
+# other line ends, and values that float() takes.
+_GOOD_BYTES = {
+    "byte-order-mark": (b"\xef\xbb\xbf" + _LF, _LF),
+    "crlf": (_LF.replace(b"\n", b"\r\n"), _LF),
+    "cr-only": (_LF.replace(b"\n", b"\r"), _LF),
+    "underscore-in-digits": (_LF.replace(_FIRST_ROW, b"2020-01-01,1_0\n"),
+                             _LF.replace(_FIRST_ROW, b"2020-01-01,10\n")),
+    "arabic-indic-digits": (_LF.replace(_FIRST_ROW, "2020-01-01,١٢\n".encode()),
+                            _LF.replace(_FIRST_ROW, b"2020-01-01,12\n")),
+}
+
+
 @pytest.mark.parametrize("command", _FILE_COMMANDS, ids=lambda c: c[0])
-def test_cli_reads_a_file_with_a_byte_order_mark_as_the_file_without(tmp_path, command):
-    marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + DATA.read_bytes())
-    runs = [run_cli([command[0], "--input", str(path), "--kind", "returns", *command[1:]])
-            for path in (DATA, marked)]
-    assert runs[0][0] == 0 and runs[0][1]
+@pytest.mark.parametrize("data, plain", _GOOD_BYTES.values(), ids=list(_GOOD_BYTES))
+def test_cli_reads_a_variant_file_as_the_plain_one(tmp_path, command, data, plain):
+    assert data != plain
+    runs = []
+    for name, content in (("plain.csv", plain), ("other.csv", data)):
+        path = tmp_path / name
+        path.write_bytes(content)
+        runs.append(run_cli([command[0], "--input", str(path), "--kind", "returns", *command[1:]]))
+    assert runs[0][0] == 0 and runs[0][1] and runs[0][2] == ""
     assert runs[1] == runs[0]
 
 

@@ -187,7 +187,7 @@ def test_multipliers_are_within_4e_15():
 def test_pelve2_rv_limit_is_within_1e_14():
     off = []
     with mpmath.workdps(50):
-        for alpha in (1.01, 1.5, 2.0, 10.0, 1e3, 1e6):
+        for alpha in (1 + 1e-12, 1 + 1e-8, 1 + 1e-6, 1 + 1e-3, 1.01, 1.5, 2.0, 10.0, 1e3, 1e6):
             a = mpmath.mpf(alpha)
             exact = (2 * a * a / ((a - 1) * (2 * a - 1))) ** a
             if _rel(pelve2_rv_limit(alpha), exact) > 1e-14:

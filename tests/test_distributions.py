@@ -259,6 +259,24 @@ def test_array_levels_match_float_calls(dist):
         assert np.all(np.abs(whole - singles) <= tol)
 
 
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+def test_a_0d_level_gives_the_one_element_arrays_bits(dist):
+    # A 0-d array is an array: a shape-() array with the bits of the
+    # one-element array, not a float from math or numpy's scalar power.  A
+    # 2-d array gives the 1-d values in its shape.
+    floor = dist.level_floor
+    u = np.random.default_rng(26).random(1000)
+    p, t = floor + (1.0 - floor) * u, (1.0 - floor) * u
+    for method, levels in ((dist.quantile, p[(p > floor) & (p < 1.0)]),
+                           (dist.tail_quantile, t[(t > 0.0) & (t < 1.0 - floor)])):
+        for x in levels:
+            value = method(np.array(x))
+            assert type(value) is np.ndarray and value.shape == ()
+            assert value.tobytes() == method(np.array([x])).tobytes()
+        whole = method(levels[:998])
+        assert np.array_equal(method(levels[:998].reshape(2, -1)), whole.reshape(2, -1))
+
+
 def test_sample_range_and_determinism():
     x = sample(Uniform(0, 1), 123, 3)
     assert x.shape == (3,)
