@@ -66,6 +66,8 @@ CASES = {
                            "--window", "10"],
     "simulate-normal": ["simulate", "--dist", "normal:0,1", "--replicates", "20",
                         "--length", "400", "--seed", "3", "--bins", "5"],
+    "simulate-excessgpd": ["simulate", "--dist", "excessgpd:1,0.3,1,0.9", "--replicates",
+                           "30", "--length", "700", "--seed", "5"],
     "simulate-pareto-failures": ["simulate", "--dist", "pareto:1,0.01", "--replicates",
                                  "5", "--length", "200", "--seed", "11"],
     "simulate-json-failures": ["--format", "json", "simulate", "--dist", "pareto:1,0.01",
