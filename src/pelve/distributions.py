@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -579,32 +580,56 @@ def tail_quantile(dist: DistributionModel, t):
     return dist.tail_quantile(t)
 
 
-def sample(dist: DistributionModel, seed: int, count: int) -> np.ndarray:
+# Levels go through the level map and the quantile this many at a time, in
+# place.  A chunk's temporaries, about eight of 64 KiB for the normal, stay
+# below glibc's 128 KiB mmap threshold and are reused from the heap: chunks
+# of 8,192-10,000 doubles measured fastest, and one quantile over a whole
+# block of six 5,000-draw rows measured slower than one per row.
+_SAMPLE_CHUNK = 8192
+
+
+def sample(dist: DistributionModel, seed: int | Sequence[int], count: int) -> np.ndarray:
     """Draw ``count`` inverse-transform samples, deterministic in ``seed``.
 
     Uses PCG64 uniforms mapped into (level_floor, 1) and pushed through the
     family's quantile, so samples of any family share one reproducible
-    source of randomness.
+    source of randomness.  Given a sequence of seeds, returns a new
+    C-contiguous (len(seed), count) block whose row i is
+    ``sample(dist, seed[i], count)`` bit for bit: each row is filled by its
+    own generator, then the levels of the whole block go through the map
+    and the quantile ``_SAMPLE_CHUNK`` values at a time, so the temporaries
+    stay that size whatever the count.  An int seed is the one-row case.
     """
     _check_count("count", count, 1)
-    _check_count("seed", seed, 0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(count)
-    # rng.random() yields [0, 1); shift exact zeros off the rejected level 0.
-    u[u == 0.0] = np.finfo(float).tiny
+    one = not isinstance(seed, (Sequence, np.ndarray))
+    seeds = [seed] if one else seed
+    for s in seeds:
+        _check_count("seed", s, 0)
     floor = dist.level_floor
-    levels = floor + (1.0 - floor) * u
     if floor > 0.0:
         # Above F(u) > 0 the level rounds to F(u) for the smallest u and to 1
         # for the largest: both lie outside the model.
-        low = math.nextafter(floor, 1.0)
+        low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
         if low == 1.0:
             raise InvalidParameter(
                 f"no level lies strictly between base_cdf_at_u={floor} and 1: "
                 "the model has no level to sample above F(u)"
             )
-        np.clip(levels, low, math.nextafter(1.0, 0.0), out=levels)
+    block = np.empty((len(seeds), count))
+    for row, s in zip(block, seeds):
+        np.random.Generator(np.random.PCG64(s)).random(out=row)
+    flat = block.reshape(-1)
     # A quantile beyond the float range comes out as inf, which the callers
     # reject as a non-finite sample; numpy need not warn about it as well.
     with np.errstate(over="ignore"):
-        return dist.quantile(levels)
+        for start in range(0, flat.size, _SAMPLE_CHUNK):
+            u = flat[start:start + _SAMPLE_CHUNK]
+            # random() yields [0, 1); shift exact zeros off the rejected level 0.
+            u[u == 0.0] = np.finfo(float).tiny
+            if floor > 0.0:
+                # The level floor + (1 - floor) u, which is u itself at floor 0.
+                u *= 1.0 - floor
+                u += floor
+                np.clip(u, low, high, out=u)
+            u[...] = dist.quantile(u)
+    return block[0] if one else block

@@ -5,12 +5,13 @@ Replicate r draws its sample with the seed ``replicate_seed(seed, r)`` =
 (seed + r)(seed + r + 1)/2 + r (r = 1..R), the Cantor pairing of seed and
 r.  No two (seed, r) pairs share a seed, so studies under different seeds
 never reuse each other's draws; a study is deterministic in its seed and
-independent of evaluation order.  Replicates are solved in blocks: each
-block of draws is stacked, sorted along its rows and passed to the batched
-empirical solve, which gives every replicate the same estimate, bit for
-bit, as ``empirical_pelve`` on its own sample.  A study allocates one
-block of draws and one set of the solve's buffers, and every block reuses
-them.
+independent of evaluation order.  Replicates are solved in blocks: one
+``sample`` call draws a block, one row per replicate and each row the
+replicate's own sample bit for bit; the block is sorted along its rows
+in place and passed to the batched empirical solve, which gives every
+replicate the same estimate, bit for bit, as ``empirical_pelve`` on its
+own sample.  A study allocates one set of the solve's buffers, which
+every block reuses.
 """
 
 from __future__ import annotations
@@ -99,12 +100,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     m = cfg.sample_len
     step = min(block_rows(m), cfg.replicates)
     solver = _BlockSolver(m, cfg.n, cfg.eps, step)
-    draws = np.empty((step, m))
     for first in range(1, cfg.replicates + 1, step):
         replicates = range(first, min(first + step, cfg.replicates + 1))
-        block = draws[: len(replicates)]
-        for row, r in zip(block, replicates):
-            row[:] = sample(cfg.dist, replicate_seed(cfg.seed, r), m)
+        block = sample(cfg.dist, [replicate_seed(cfg.seed, r) for r in replicates], m)
         # Any sort will do: it can only order -0.0 against 0.0 differently
         # from OrderedSample's stable sort, which no estimate can see.
         block.sort(axis=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath
@@ -319,9 +320,10 @@ def test_sample_excess_gpd_keeps_draws_inside_the_model(draws, levels, monkeypat
     # such a level moves one float inside (F(u), 1), and u = 0.5 keeps its
     # bits.
     d = ExcessGPD(1, 0.3, 1, 0.9)
-    # numpy's Generator is replaced by one whose random(count) returns draws.
+    # numpy's Generator is replaced by one whose random(out=row) fills the
+    # row with draws.
     monkeypatch.setattr(np.random, "Generator",
-                        lambda bits: SimpleNamespace(random=lambda count: np.array(draws)))
+                        lambda bits: SimpleNamespace(random=lambda out: np.copyto(out, draws)))
     assert np.array_equal(sample(d, 0, len(draws)), d.quantile(np.array(levels)))
 
 
@@ -347,6 +349,67 @@ def test_sample_count_validation():
 def test_sample_rejects_negative_seed():
     with pytest.raises(InvalidParameter, match="seed"):
         sample(Normal(0, 1), -1, 5)
+
+
+# One model of each family; ExcessGPD with F(u) > 0 takes the clip into
+# (F(u), 1), and Pareto(1, 0.01) overflows to inf on about one draw in 1,250.
+SAMPLED_FAMILIES = [
+    Uniform(-3, 5),
+    Exponential(0.25),
+    Normal(2, 0.5),
+    Pareto(1, 0.01),
+    GeneralizedPareto(0.5, 1),
+    ExcessGPD(1, 0.3, 1, 0.9),
+]
+
+
+@pytest.mark.parametrize("count", [1, 3000, 8193])
+@pytest.mark.parametrize("dist", SAMPLED_FAMILIES, ids=repr)
+def test_a_block_of_seeds_draws_each_seeds_sample(dist, count):
+    # Four rows of 3,000 or 8,193 draws straddle the 8,192-value chunks in
+    # which the block's levels go through the quantile.
+    seeds = [0, 1, 7, 12345]
+    block = sample(dist, seeds, count)
+    assert block.shape == (len(seeds), count)
+    assert block.flags.c_contiguous and block.flags.owndata
+    for row, seed in zip(block, seeds):
+        assert row.tobytes() == sample(dist, seed, count).tobytes()
+    assert np.array_equal(sample(dist, tuple(seeds), count), block)
+    assert np.array_equal(sample(dist, np.array(seeds), count), block)
+    if isinstance(dist, Pareto) and count > 1:
+        assert np.isinf(block).any()
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.0])
+def test_a_block_checks_every_seed(bad):
+    with pytest.raises(InvalidParameter, match="seed"):
+        sample(Normal(0, 1), [1, bad, 3], 5)
+
+
+def test_a_block_with_no_level_above_the_base_raises_before_any_draw(monkeypatch):
+    def no_draws(bits):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(np.random, "Generator", no_draws)
+    with pytest.raises(InvalidParameter, match="no level lies strictly between"):
+        sample(ExcessGPD(1, 0.3, 1, math.nextafter(1.0, 0.0)), [0, 1], 5)
+
+
+@pytest.mark.parametrize("dist", [Normal(0, 1), Pareto(1, 3), ExcessGPD(1, 0.3, 1, 0.9)],
+                         ids=repr)
+def test_sampling_memory_is_the_result_and_a_chunk(dist):
+    # The levels go through the quantile in fixed chunks, in place, so a
+    # large sample needs its result and a chunk's temporaries; through one
+    # quantile call it needed several result-sized temporaries.
+    count = 2 ** 20
+    sample(dist, 1, 10)
+    tracemalloc.start()
+    try:
+        sample(dist, 1, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + 2 * 2 ** 20
 
 
 def test_float_quantile_overflow_is_typed():
