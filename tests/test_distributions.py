@@ -375,7 +375,7 @@ def test_a_block_of_seeds_draws_each_seeds_sample(dist, count):
     for row, seed in zip(block, seeds):
         assert row.tobytes() == sample(dist, seed, count).tobytes()
     assert np.array_equal(sample(dist, tuple(seeds), count), block)
-    assert np.array_equal(sample(dist, np.array(seeds), count), block)
+    assert np.array_equal(sample(dist, range(0, 2), count), block[:2])
     if isinstance(dist, Pareto) and count > 1:
         assert np.isinf(block).any()
 
