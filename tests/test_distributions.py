@@ -363,7 +363,7 @@ SAMPLED_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("count", [1, 3000, 8193])
+@pytest.mark.parametrize("count", [1, 3000, 8193, 32769])
 @pytest.mark.parametrize("dist", SAMPLED_FAMILIES, ids=repr)
 def test_a_block_of_seeds_draws_each_seeds_sample(dist, count):
     # Four rows of 3,000 or 8,193 draws straddle the 8,192-value chunks in
