@@ -334,7 +334,9 @@ class _Family:
     ``tail_quantile``, ``es_closed`` and ``closed_multiplier`` check the
     level, tail probability or order, then call the family's unchecked
     ``_quantile``, ``_tail_quantile``, ``_es_closed`` or
-    ``_closed_multiplier``, which check nothing again."""
+    ``_closed_multiplier``, which check nothing again.  ``_quantile(x,
+    work)`` and ``_tail_quantile(x, work)`` overwrite a 1-d array x, with
+    the three rows of ``work`` as work arrays of its size."""
 
     level_floor = 0.0
 

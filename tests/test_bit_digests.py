@@ -5,8 +5,9 @@ The samples are long enough that their levels cross several of the chunks
 in which the quantile runs, as one row and as a block of three seeds.  The
 level grids add log-spaced levels through both tails, down to 1e-300, so
 that the normal's three AS241 branches all run.  The stored copies are
-rewritten with ``python tests/test_bit_digests.py``, which prints the name
-of each digest that changed; a change that alters them must say why.
+rewritten with ``PYTHONPATH=src python tests/test_bit_digests.py``, which
+prints the name of each digest that changed; a change that alters them must
+say why.
 """
 
 import hashlib

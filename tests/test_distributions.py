@@ -366,8 +366,9 @@ SAMPLED_FAMILIES = [
 @pytest.mark.parametrize("count", [1, 3000, 8193, 32769])
 @pytest.mark.parametrize("dist", SAMPLED_FAMILIES, ids=repr)
 def test_a_block_of_seeds_draws_each_seeds_sample(dist, count):
-    # Four rows of 3,000 or 8,193 draws straddle the 8,192-value chunks in
-    # which the block's levels go through the quantile.
+    # The block's levels go through the quantile in chunks of 32,768 values:
+    # four rows of 8,193 draws put a chunk seam inside the last row, and
+    # rows of 32,769 draws put one inside every row.
     seeds = [0, 1, 7, 12345]
     block = sample(dist, seeds, count)
     assert block.shape == (len(seeds), count)
@@ -410,6 +411,54 @@ def test_sampling_memory_is_the_result_and_a_chunk(dist):
     finally:
         tracemalloc.stop()
     assert peak < 8 * count + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("method", ["quantile", "tail_quantile"])
+@pytest.mark.parametrize("dist", [Normal(0, 1), ExcessGPD(1, 0.3, 1, 0), Pareto(1, 3)], ids=repr)
+def test_array_quantile_memory_is_the_result_and_a_chunk(dist, method):
+    # An array of levels is evaluated on one copy, in chunks, so it needs
+    # the result and a chunk's work arrays, as a sample does; through one
+    # formula call it needed several level-sized temporaries.
+    count = 2 ** 20
+    levels = (np.arange(count) + 0.5) / count
+    evaluate = getattr(dist, method)
+    evaluate(levels[:10])
+    tracemalloc.start()
+    try:
+        evaluate(levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + 2 * 2 ** 20
+
+
+_FRACTIONS = np.array([0.01, 0.2, 0.5, 0.7, 0.9, 0.99, 1e-5, 1 - 1e-6, 0.3, 0.6, 0.45, 0.05,
+                       0.95, 0.8, 1e-200])
+
+
+@pytest.mark.parametrize("method", ["quantile", "tail_quantile"])
+@pytest.mark.parametrize("dist", ALL_FAMILIES, ids=repr)
+def test_array_quantiles_never_write_the_callers_array(dist, method):
+    # The formulas overwrite their argument, so an array goes through them
+    # as a copy: the caller's levels keep their bits, and a read-only or
+    # non-contiguous array gives what its C-ordered copy gives.
+    floor = dist.level_floor
+    if method == "quantile":
+        grid = floor + (1.0 - floor) * _FRACTIONS
+        grid = grid[grid > floor]
+    else:
+        grid = (1.0 - floor) * _FRACTIONS
+    evaluate = getattr(dist, method)
+    for x in (grid[2], grid[:7], grid[:12].reshape(3, 4), grid[:12].reshape(3, 4).T):
+        x = np.array(x)
+        before = x.copy()
+        got = evaluate(x)
+        assert x.tobytes() == before.tobytes()
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert not np.shares_memory(got, x)
+        assert got.tobytes() == evaluate(np.ascontiguousarray(x)).tobytes()
+        x.flags.writeable = False
+        assert evaluate(x).tobytes() == got.tobytes()
 
 
 def test_float_quantile_overflow_is_typed():

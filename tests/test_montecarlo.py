@@ -283,8 +283,8 @@ def test_a_study_builds_one_set_of_solve_buffers(monkeypatch, cfg, falls_back):
 
 _REPEATED_STUDY = """
 import resource
-from pelve import Normal, StudyConfig, run_study
-cfg = StudyConfig(Normal(0, 1), 2, 0.05, 100, 5000, 1)
+from pelve import ExcessGPD, Normal, Pareto, StudyConfig, run_study
+cfg = StudyConfig({dist!r}, 2, 0.05, 100, 5000, 1)
 run_study(cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_study(cfg)
@@ -296,14 +296,17 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     resource is None or not sys.platform.startswith("linux"),
     reason="counts minor page faults with getrusage on Linux",
 )
-def test_a_repeated_study_faults_in_few_pages():
-    # A study reuses one block of draws and one set of solve buffers, so a
-    # second identical study finds its memory already mapped; buffers made
-    # per block can be trimmed and faulted in again by the allocator, at
-    # several thousand minor faults a study.  Whether they are depends on
-    # the heap's history, so the study runs in a fresh interpreter.
+@pytest.mark.parametrize("dist", [Normal(0, 1), Pareto(1, 3), ExcessGPD(1, 0.3, 1, 0.9)], ids=repr)
+def test_a_repeated_study_faults_in_few_pages(dist):
+    # A study allocates one set of solve buffers, and each block of draws
+    # and the quantile's chunk-sized work arrays are freed before the next
+    # block is drawn, so a second identical study finds its memory already
+    # mapped; buffers that outgrow the heap's top can be trimmed and
+    # faulted in again by the allocator, at several thousand minor faults a
+    # study.  Whether they are depends on the heap's history, so the study
+    # runs in a fresh interpreter.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _REPEATED_STUDY], capture_output=True,
-                          text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_STUDY.format(dist=dist)],
+                          capture_output=True, text=True, env=env, check=True)
     assert int(proc.stdout) < 1000
