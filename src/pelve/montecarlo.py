@@ -10,8 +10,8 @@ independent of evaluation order.  Replicates are solved in blocks: one
 replicate's own sample bit for bit; the block is sorted along its rows
 in place and passed to the batched empirical solve, which gives every
 replicate the same estimate, bit for bit, as ``empirical_pelve`` on its
-own sample.  A study allocates one set of the solve's buffers, which
-every block reuses.
+own sample.  A study builds the solve's check weights once, and every
+block reads them.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     failures: list = []
     m = cfg.sample_len
     step = min(block_rows(m), cfg.replicates)
-    solver = _BlockSolver(m, cfg.n, cfg.eps, step)
+    solver = _BlockSolver(m, cfg.n, cfg.eps)
     for first in range(1, cfg.replicates + 1, step):
         replicates = range(first, min(first + step, cfg.replicates + 1))
         block = sample(cfg.dist, [replicate_seed(cfg.seed, r) for r in replicates], m)

@@ -212,7 +212,8 @@ def _integrate(fn: Callable, kernel_of: Callable, edges: np.ndarray, singular: b
         tol = rel_tol * np.maximum(np.abs(sums[:, 0] + offset), sums[:, 2] + offset_abs)
         if (sums[:, 1] <= tol).all():
             if not np.isfinite(sums[:, 0]).all():
-                raise QuadratureNonConvergence("quantile overflow near an endpoint" + _NO_MOMENT)
+                # Every quantile value was finite, so the sum itself overflowed.
+                raise QuadratureNonConvergence("the integral left the float range")
             return sums
         split = (rows[..., 1] > tol / lo.size).any(1)
         block = np.empty(0)

@@ -588,7 +588,7 @@ def test_a_bool_is_no_order():
 
 # --- the prefix cell search ---------------------------------------------------
 
-def _full_width_roots(x, n, eps, j_var, width=None, s=None):
+def _full_width_roots(x, n, eps, j_var, width=None):
     # The cell search over every row's full length, as it stood before the
     # search began at the top order statistics: the oracle the prefix search
     # must match bit for bit.
@@ -707,7 +707,7 @@ def test_a_block_mixes_prefix_widened_infinite_and_one_rows(monkeypatch):
             assert _bits(empirical_pelve_rows(row[None, :], n, eps).result(0)) == _bits(result)
 
 
-# --- buffers reused across blocks ---------------------------------------------
+# --- blocks solved in one call ------------------------------------------------
 
 def _min_level(values, eps):
     # The lowest residual level 1 - c*eps among a block's open rows.
@@ -716,11 +716,11 @@ def _min_level(values, eps):
 
 
 def test_blocks_that_reuse_the_buffers_leak_nothing_into_each_other():
-    # One call solves every block with the same buffers.  The blocks below
-    # differ in what they leave there: all rows open, only a subset open,
-    # rows searched wider, residual levels lower than the block before, and
-    # a partial last block.  Each row must still have the bits of a call on
-    # that row alone, with the full blocks in either order.
+    # One call solves every block with the same solver and its check
+    # weights.  The blocks below differ in what they solve: all rows open,
+    # only a subset open, rows searched wider, residual levels lower than the
+    # block before, and a partial last block.  Each row must still have the
+    # bits of a call on that row alone, with the full blocks in either order.
     m, eps = 1000, 0.05
     step = block_rows(m)
     assert step == 32

@@ -141,6 +141,14 @@ def test_quadrature_overflow_in_the_first_refinement_is_typed():
         es_n_quadrature(lambda s: (1 - s) ** -300.0, 1, 0.5)
 
 
+def test_quadrature_sum_past_the_float_range_is_typed():
+    # Every quantile value is finite and the integral is 0, but the
+    # Kronrod sum of values near +-1.7e308 overflows.
+    with pytest.raises(QuadratureNonConvergence) as info:
+        es_n_quadrature(lambda s: 1.7e308 * (2 * s - 1), 1, 0.0)
+    assert str(info.value) == "the integral left the float range"
+
+
 @pytest.mark.parametrize("dist", CLOSED_FAMILIES, ids=repr)
 def test_closed_vs_quadrature_agreement(dist):
     # 1e-8 relative agreement wherever a closed form exists
