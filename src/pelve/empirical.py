@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _check_count, _check_order, _check_tail_level
-from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, SampleTooSmall
+from .errors import InvalidParameter, LevelOutOfRange, OrderOutOfRange, PelveError, SampleTooSmall
 from .pelve_solver import PelveResult, _check_level_eps
 
 __all__ = [
@@ -150,7 +150,9 @@ def empirical_pelve(sample: OrderedSample, n: int, eps: float) -> PelveResult:
     where VaR-hat sits on the sample maximum and the estimate is
     degenerate.  This is :func:`empirical_pelve_rows` on one row.
     """
-    return _pelve_rows(sample.values[None, :], n, eps).result(0)
+    _check_level_eps(eps)
+    _check_order(n)
+    return _solved(_pelve_rows([sample.values[None, :]], 1, sample.m, n, eps)).result(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,17 +210,10 @@ def empirical_pelve_rows(rows, n: int, eps: float) -> PelveColumns:
     as a search over all m.  ``residual`` is
     |ES-hat_n - VaR-hat| at the returned c, from the distortion weights.
     Every step runs along each row on its own, so a row's result does not
-    depend on the other rows.  Warns once when m*eps < 1.  Raises
-    ``OrderOutOfRange`` when a row needs the root search and n*log2(m+n)
-    exceeds 1000, where the cell search would overflow.
+    depend on the other rows.  Warns once when m*eps < 1.  Raises the first
+    failed row's error, ``OrderOutOfRange`` if it needs the root search and
+    n*log2(m+n) exceeds 1000, where the cell search would overflow.
     """
-    return _pelve_rows(rows, n, eps)
-
-
-def _pelve_rows(rows, n: int, eps: float, solver: _BlockSolver | None = None) -> PelveColumns:
-    # The solve of both public entry points, each of which calls it directly,
-    # so that stacklevel=3 attributes the warning to their caller.  A study
-    # passes its (m, n, eps) solver, whose check weights serve every block.
     _check_level_eps(eps)
     _check_order(n)
     # C order keeps every row's dot product a unit-stride ddot, whose sum
@@ -228,9 +223,18 @@ def _pelve_rows(rows, n: int, eps: float, solver: _BlockSolver | None = None) ->
         raise InvalidParameter(
             f"rows must form a (B, m) matrix with m >= 1, got shape {rows.shape}"
         )
-    if not np.isfinite(rows).all():
-        raise InvalidParameter(_NOT_FINITE)
     b, m = rows.shape
+    step = block_rows(m)
+    blocks = (rows[start : start + step] for start in range(0, b, step))
+    return _solved(_pelve_rows(blocks, b, m, n, eps))
+
+
+def _pelve_rows(blocks, b: int, m: int, n: int, eps: float):
+    # The solve of every empirical entry over sorted blocks holding b rows of
+    # length m: the columns (nan, 0, nan on a failed row) and each failed
+    # row's PelveError by index.  A block that raises is solved row by row,
+    # as only some rows may fail, such as a draw that overflowed to inf.
+    # Each entry calls this directly, so stacklevel=3 names its caller.
     if is_degenerate(m, eps):
         warnings.warn(
             f"m*eps = {m * eps:.3g} < 1: empirical VaR is the sample maximum "
@@ -238,70 +242,83 @@ def _pelve_rows(rows, n: int, eps: float, solver: _BlockSolver | None = None) ->
             SampleTooSmall,
             stacklevel=3,
         )
-    step = block_rows(m)
-    if solver is None:
-        solver = _BlockSolver(m, n, eps)
-    value, residual = np.empty(b), np.empty(b)
-    iterations = np.empty(b, dtype=np.int64)
-    for start in range(0, b, step):
-        block = slice(start, start + step)
-        value[block], iterations[block], residual[block] = solver.solve(rows[block])
-    for column in (value, iterations, residual):
+    at_zero, at_one = es_n_weights(m, n, 0.0), es_n_weights(m, n, 1.0 - eps)
+    columns = np.full(b, math.nan), np.zeros(b, dtype=np.int64), np.full(b, math.nan)
+    failures = {}
+
+    def solve(first, x):
+        for column, part in zip(columns, _solve_block(x, n, eps, at_zero, at_one)):
+            column[first : first + len(x)] = part
+
+    start = 0
+    for block in blocks:
+        try:
+            solve(start, block)
+        except PelveError:
+            for i in range(start, start + len(block)):
+                try:
+                    solve(i, block[i - start, None])
+                except PelveError as exc:
+                    # A copy without the traceback, whose frames hold the block.
+                    failures[i] = type(exc)(*exc.args)
+        start += len(block)
+        # Dropped before a study draws the next: a held block took a normal
+        # study's tracemalloc peak from 1.20 to 1.34 MiB, its re-run to 58 faults.
+        del block
+    for column in columns:
         column.flags.writeable = False
-    return PelveColumns(value, iterations, residual)
+    return PelveColumns(*columns), failures
 
 
-class _BlockSolver:
-    # The batched solve of blocks of rows of length m at one order n and eps.
-    # It holds only what every block reads: the check weights at p = 0 and
-    # at the left endpoint c = 1 (one level for every row).  Each block
-    # allocates its own arrays, as a one-row call does.
+def _solved(solved) -> PelveColumns:
+    # The columns of a matrix entry's solve, or its first failed row's error.
+    columns, failures = solved
+    for error in failures.values():
+        raise error
+    return columns
 
-    def __init__(self, m: int, n: int, eps: float) -> None:
-        self.n, self.eps = n, eps
-        self.i_var = _var_index(m, 1.0 - eps)
-        self.at_zero = es_n_weights(m, n, 0.0)
-        self.at_one = es_n_weights(m, n, 1.0 - eps)
 
-    def solve(self, x: np.ndarray):
-        # (value, iterations, residual) of each row of the block x.
-        n, eps, i_var = self.n, self.eps, self.i_var
-        b, m = x.shape
-        # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as
-        # 2^-e overflows for a row of subnormals), so that x - VaR-hat, the
-        # weighted sums of it and the cell search's sums stay finite.  The
-        # scaling changes no root and the sign of no sum; its only rounding
-        # is in values pushed below the normal floats.  The residual goes
-        # back by 2^e.
-        e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
-        x = np.ldexp(x, -e[:, None])
+def _solve_block(x: np.ndarray, n: int, eps: float, at_zero, at_one):
+    # (value, iterations, residual) of each row of the sorted block x.
+    if not np.isfinite(x).all():
+        raise InvalidParameter(_NOT_FINITE)
+    b, m = x.shape
+    i_var = _var_index(m, 1.0 - eps)
+    # Each row scaled by a power of two 2^-e into (-1, 1) (by ldexp, as
+    # 2^-e overflows for a row of subnormals), so that x - VaR-hat, the
+    # weighted sums of it and the cell search's sums stay finite.  The
+    # scaling changes no root and the sign of no sum; its only rounding
+    # is in values pushed below the normal floats.  The residual goes
+    # back by 2^e.
+    e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1]
+    x = np.ldexp(x, -e[:, None])
+    excess = x - x[:, i_var - 1, None]
+    infinite = _row_dots(at_zero, excess) > 0.0
+    g1 = _row_dots(at_one, excess)
+    solve = ~infinite & (g1 > 0.0)
+    # An infinite row's residual is 0 before the residuals go back by
+    # 2^e, which its discarded c = 1 gap could overflow.
+    value = np.where(infinite, math.inf, 1.0)
+    iterations = np.zeros(b, dtype=np.int64)
+    residual = np.where(infinite, 0.0, np.abs(g1))
+    # The open rows' excess is formed again for their residual, so that
+    # the root search runs with one block-sized array fewer.
+    del excess
+    if solve.any():
+        if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
+            raise OrderOutOfRange(
+                f"order {n} is too large for the exact solve on {m} values "
+                f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
+            )
+        if not solve.all():
+            x = x[solve]  # the open rows only
+        c, iterations[solve] = _roots(x, n, eps, m - i_var)
+        value[solve] = c
         excess = x - x[:, i_var - 1, None]
-        infinite = _row_dots(self.at_zero, excess) > 0.0
-        g1 = _row_dots(self.at_one, excess)
-        solve = ~infinite & (g1 > 0.0)
-        # An infinite row's residual is 0 before the residuals go back by
-        # 2^e, which its discarded c = 1 gap could overflow.
-        value = np.where(infinite, math.inf, 1.0)
-        iterations = np.zeros(b, dtype=np.int64)
-        residual = np.where(infinite, 0.0, np.abs(g1))
-        # The open rows' excess is formed again for their residual, so that
-        # the root search runs with one block-sized array fewer.
-        del excess
-        if solve.any():
-            if n * math.log2(m + n) > _MAX_EXPONENT_BITS:
-                raise OrderOutOfRange(
-                    f"order {n} is too large for the exact solve on {m} values "
-                    f"(needs n*log2(m+n) <= {_MAX_EXPONENT_BITS})"
-                )
-            if not solve.all():
-                x = x[solve]  # the open rows only
-            c, iterations[solve] = _roots(x, n, eps, m - i_var)
-            value[solve] = c
-            excess = x - x[:, i_var - 1, None]
-            levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
-            weights = _increments(m, n, levels)
-            residual[solve] = np.abs(_row_dots(weights, excess))
-        return value, iterations, np.ldexp(residual, e)
+        levels = np.maximum(1.0 - c * eps, 0.0)[:, None]
+        weights = _increments(m, n, levels)
+        residual[solve] = np.abs(_row_dots(weights, excess))
+    return value, iterations, np.ldexp(residual, e)
 
 
 def _row_dots(w: np.ndarray, excess: np.ndarray) -> np.ndarray:

@@ -5,13 +5,13 @@ Replicate r draws its sample with the seed ``replicate_seed(seed, r)`` =
 (seed + r)(seed + r + 1)/2 + r (r = 1..R), the Cantor pairing of seed and
 r.  No two (seed, r) pairs share a seed, so studies under different seeds
 never reuse each other's draws; a study is deterministic in its seed and
-independent of evaluation order.  Replicates are solved in blocks: one
+independent of evaluation order.  Replicates are drawn in blocks: one
 ``sample`` call draws a block, one row per replicate and each row the
-replicate's own sample bit for bit; the block is sorted along its rows
-in place and passed to the batched empirical solve, which gives every
-replicate the same estimate, bit for bit, as ``empirical_pelve`` on its
-own sample.  A study builds the solve's check weights once, and every
-block reads them.
+replicate's own sample bit for bit.  The study sorts each block along its
+rows in place and hands it, when asked, to the one batched empirical solve,
+which gives every replicate the same estimate, bit for bit, as
+``empirical_pelve`` on its own sample, and fails only the replicates that
+fail on their own.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionModel, _check_count, _check_order, sample
-from .empirical import _BlockSolver, _pelve_rows, block_rows
+from .empirical import _pelve_rows, block_rows
 # No longer called here, but perfbench/tracing.py rebinds these two names.
 from .empirical import OrderedSample, empirical_pelve  # noqa: F401
-from .errors import NoFiniteEstimates, PelveError
+from .errors import NoFiniteEstimates
 from .pelve_solver import _check_level_eps
 
 __all__ = [
@@ -69,22 +69,11 @@ class StudyResult:
     failures: tuple = ()
 
 
-def _finite_values(estimates) -> np.ndarray:
-    return np.array([e.value for e in estimates if e is not None and e.is_finite])
-
-
-def _estimate_rows(block: np.ndarray, cfg: StudyConfig, solver: _BlockSolver) -> list:
-    # Per sorted row of the block, its PelveResult or error message.
-    try:
-        solved = _pelve_rows(block, cfg.n, cfg.eps, solver)
-    except PelveError as exc:
-        if len(block) > 1:
-            # The error may come from some rows only, such as a draw that
-            # overflowed to inf: solve each on its own.
-            return [outcome for row in block
-                    for outcome in _estimate_rows(row[None, :], cfg, solver)]
-        return [str(exc)]
-    return list(map(solved.result, range(len(solved))))
+def _sorted(block: np.ndarray) -> np.ndarray:
+    # Any sort will do: it can only order -0.0 against 0.0 differently from
+    # OrderedSample's stable sort, which no estimate can see.
+    block.sort(axis=1)
+    return block
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -95,40 +84,24 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     rather than aborting the study.  Mean and stddev are over the finite
     estimates only; infinite ones count toward R but not finite_count.
     """
-    estimates: list = []
-    failures: list = []
-    m = cfg.sample_len
-    step = min(block_rows(m), cfg.replicates)
-    solver = _BlockSolver(m, cfg.n, cfg.eps)
-    for first in range(1, cfg.replicates + 1, step):
-        replicates = range(first, min(first + step, cfg.replicates + 1))
-        block = sample(cfg.dist, [replicate_seed(cfg.seed, r) for r in replicates], m)
-        # Any sort will do: it can only order -0.0 against 0.0 differently
-        # from OrderedSample's stable sort, which no estimate can see.
-        block.sort(axis=1)
-        outcomes = _estimate_rows(block, cfg, solver)
-        # Free the block before the next one is drawn: two live blocks can
-        # push the heap's top past glibc's trim threshold, which then hands
-        # pages back to be faulted in again (up to 800 minor faults a normal
-        # study against about 240, measured).
-        del block
-        for r, outcome in zip(replicates, outcomes):
-            if isinstance(outcome, str):
-                failures.append((r, outcome))
-                estimates.append(None)
-            else:
-                estimates.append(outcome)
-
-    finite = _finite_values(estimates)
+    count, m = cfg.replicates, cfg.sample_len
+    replicates, step = range(1, count + 1), block_rows(m)
+    # Each block is drawn when the solve asks for it and held by no name here.
+    blocks = (
+        _sorted(sample(cfg.dist, [replicate_seed(cfg.seed, r) for r in replicates[i : i + step]], m))
+        for i in range(0, count, step)
+    )
+    columns, errors = _pelve_rows(blocks, count, m, cfg.n, cfg.eps)
+    finite = columns.value[np.isfinite(columns.value)]
     k = finite.size
     mean = float(finite.mean()) if k else math.nan
     stddev = float(finite.std(ddof=1)) if k > 1 else 0.0
     return StudyResult(
-        estimates=tuple(estimates),
+        estimates=tuple(None if i in errors else columns.result(i) for i in range(count)),
         finite_count=k,
         mean=mean,
         stddev=stddev,
-        failures=tuple(failures),
+        failures=tuple((i + 1, str(error)) for i, error in errors.items()),
     )
 
 
@@ -136,7 +109,7 @@ def export_histogram(res: StudyResult, bins: int) -> list:
     """Equal-width histogram of the finite estimates as
     (bin_low, bin_high, count) rows; counts sum to finite_count."""
     _check_count("bins", bins, 1)
-    finite = _finite_values(res.estimates)
+    finite = np.array([e.value for e in res.estimates if e is not None and e.is_finite])
     if finite.size == 0:
         raise NoFiniteEstimates("every estimate in the study was infinite")
     low, high = float(finite.min()), float(finite.max())

@@ -364,6 +364,29 @@ def test_batched_solve_validates():
         empirical_pelve_rows(near, 150, 0.05)
 
 
+@pytest.mark.parametrize(
+    "n, eps, corrupt, error, message",
+    [
+        # A non-finite row in the second block: the solve of that block fails.
+        (2, 0.05, True, InvalidParameter, "sample values must all be finite"),
+        # Order 85 on rows of 5000: the rows that need the root search fail.
+        (85, 0.008, False, OrderOutOfRange,
+         "order 85 is too large for the exact solve on 5000 values (needs n*log2(m+n) <= 1000)"),
+    ],
+    ids=["non-finite", "order-85"],
+)
+def test_a_failing_matrix_raises_its_first_failed_rows_error(n, eps, corrupt, error, message):
+    # A row that fails in the second block fails the call, with its error's
+    # own type and message.
+    rows = np.sort(sample(Normal(0, 1), list(range(1, 12)), 5000), axis=1)
+    assert block_rows(5000) < len(rows) <= 2 * block_rows(5000)
+    if corrupt:
+        rows[block_rows(5000) + 3, -1] = math.inf
+    with pytest.raises(error) as info:
+        empirical_pelve_rows(rows, n, eps)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_batched_solve_warns_once_when_degenerate():
     assert is_degenerate(19, 0.05) and not is_degenerate(20, 0.05)
     with warnings.catch_warnings(record=True) as caught:

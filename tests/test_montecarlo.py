@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from pelve import (
     OrderOutOfRange,
     OrderedSample,
     Pareto,
+    SampleTooSmall,
     StudyConfig,
     Uniform,
     empirical_pelve,
@@ -31,7 +34,7 @@ from pelve import (
 )
 from pelve.cli import RollingConfig
 from pelve.empirical import block_rows
-from pelve import montecarlo
+from pelve import empirical, montecarlo
 from pelve.montecarlo import replicate_seed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -255,7 +258,9 @@ def test_study_modal_bin_contains_mean():
     assert lo - 0.1 <= res.mean <= hi + 0.1
 
 
-@pytest.mark.parametrize(
+# Studies whose blocks all solve at once, or some of whose blocks raise and
+# are solved again one row at a time.
+_FALLBACK_STUDIES = pytest.mark.parametrize(
     "cfg, falls_back",
     [
         (StudyConfig(Normal(0, 1), 2, 0.05, 100, 5000, 1), False),  # 17 blocks
@@ -266,19 +271,58 @@ def test_study_modal_bin_contains_mean():
     ],
     ids=["normal", "pareto-overflow", "order-85"],
 )
+
+
+@_FALLBACK_STUDIES
 def test_a_study_builds_one_set_of_solve_buffers(monkeypatch, cfg, falls_back):
+    # The check weights at p = 0 and at c = 1 are built once per study and
+    # read by every block and every one-row solve after a failing block.
     built = []
 
-    class Counting(montecarlo._BlockSolver):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting(*args):
+        built.append(args)
+        return es_n_weights(*args)
 
-    monkeypatch.setattr(montecarlo, "_BlockSolver", Counting)
+    monkeypatch.setattr(empirical, "es_n_weights", counting)
     with np.errstate(over="ignore"):
         res = run_study(cfg)
-    assert len(built) == 1
+    m, n, eps = cfg.sample_len, cfg.n, cfg.eps
+    assert built == [(m, n, 0.0), (m, n, 1.0 - eps)]
     assert bool(res.failures) == falls_back
+
+
+@_FALLBACK_STUDIES
+def test_a_study_holds_no_block_while_it_draws_the_next(monkeypatch, cfg, falls_back):
+    # Neither the study nor the solve keeps a drawn block, and a failed
+    # replicate's error keeps no frame that holds one.
+    drawn, alive = [], []
+
+    def tracking(*args):
+        alive.append(sum(ref() is not None for ref in drawn))
+        block = sample(*args)
+        drawn.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(montecarlo, "sample", tracking)
+    with np.errstate(over="ignore"):
+        res = run_study(cfg)
+    assert len(drawn) == math.ceil(cfg.replicates / block_rows(cfg.sample_len))
+    assert alive == [0] * len(drawn)
+    assert all(ref() is None for ref in drawn)
+    assert bool(res.failures) == falls_back
+
+
+def test_a_degenerate_study_warns_once_at_its_caller():
+    # m*eps = 0.95, and the block with overflowed draws is solved again row
+    # by row: one warning for the whole study, pointing at its caller.
+    cfg = StudyConfig(Pareto(1, 0.01), 2, 0.05, 25, 19, 1)
+    with np.errstate(over="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_study(cfg)
+    assert res.failures
+    [w] = caught
+    assert w.category is SampleTooSmall
+    assert w.filename == __file__
 
 
 _REPEATED_STUDY = """
